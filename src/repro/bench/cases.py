@@ -114,6 +114,49 @@ def _run_dds(repeats: int, seed: int) -> BenchCaseResult:
     )
 
 
+#: The regime the ``mgk.rows`` case builds: one load bucket, one LC
+#: core count, on mix 0's controller.
+MGK_BENCH_BUCKET = 0.6
+MGK_BENCH_CORES = 16
+
+
+def _run_mgk_rows(repeats: int, seed: int) -> BenchCaseResult:
+    """One cold (service, load bucket, cores) latency-regime build.
+
+    Times ``latency_training_rows`` exactly as the controller calls it
+    on a regime it has not seen: every training service (variants
+    included) minus the running service, one bucket, one core count.
+    ``mgk_configs`` (rows x 108) is the deterministic op counter.
+    """
+    from repro.core.matrices import latency_training_rows
+    from repro.core.runtime import CuttleSysPolicy
+    from repro.experiments.harness import build_machine_for_mix
+    from repro.workloads.mixes import paper_mixes
+
+    machine = build_machine_for_mix(paper_mixes()[0], seed=seed)
+    controller = CuttleSysPolicy.for_machine(machine, seed=seed).controller
+    services = controller.latency_training_services
+    exclude = (machine.lc_service.name, MGK_BENCH_BUCKET)
+    box: Dict[str, np.ndarray] = {}
+
+    def build() -> None:
+        box["rows"], _ = latency_training_rows(
+            services, [MGK_BENCH_BUCKET], machine.perf, MGK_BENCH_CORES,
+            exclude=exclude,
+        )
+
+    walls = [_timed_ms(build) for _ in range(repeats)]
+    return BenchCaseResult(
+        name="mgk.rows",
+        description=(
+            f"cold M/G/k latency-regime build, mix 0, load "
+            f"{MGK_BENCH_BUCKET}, {MGK_BENCH_CORES} cores"
+        ),
+        wall_ms=tuple(walls),
+        counters={"mgk_configs": int(box["rows"].size)},
+    )
+
+
 # -- decision-loop benchmarks ----------------------------------------------
 
 
@@ -472,6 +515,11 @@ BENCH_CASES: Tuple[BenchCase, ...] = (
         "dds.search",
         "DDS search, 16 jobs x 108 joint configs",
         _run_dds,
+    ),
+    BenchCase(
+        "mgk.rows",
+        "cold M/G/k latency-regime build (training rows x 108 configs)",
+        _run_mgk_rows,
     ),
     BenchCase(
         "quantum.decision",

@@ -69,7 +69,11 @@ from repro.sim.machine import (
     assignment_state,
 )
 from repro.sim.perf import AppProfile
-from repro.workloads.latency_critical import LC_SERVICE_NAMES, service_variants
+from repro.workloads.latency_critical import (
+    LC_SERVICE_NAMES,
+    LCService,
+    service_variants,
+)
 
 #: Load grid used to bucket latency observations and training rows.
 LOAD_GRID: Tuple[float, ...] = tuple(round(0.1 * i, 1) for i in range(1, 11))
@@ -526,6 +530,11 @@ class ResourceController:
     def lc_cores(self) -> int:
         """Primary service's current core allocation (back-compat)."""
         return self.lc_cores_by_service[0]
+
+    @property
+    def latency_training_services(self) -> Tuple[LCService, ...]:
+        """Services (with variants) whose rows train the latency matrix."""
+        return tuple(self._train_services)
 
     def _latency_matrix(
         self, bucket: float, n_cores: int, service_idx: int = 0

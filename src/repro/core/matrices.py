@@ -18,10 +18,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.sim.coreconfig import N_JOINT_CONFIGS, JointConfig
+from repro.sim.coreconfig import N_JOINT_CONFIGS
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
-from repro.workloads.latency_critical import LCService
+from repro.workloads.latency_critical import LCService, tail_latency_rows
 
 
 @dataclass
@@ -135,13 +135,7 @@ def latency_row(
     n_cores: int,
 ) -> np.ndarray:
     """p99 latency of one service across all 108 joint configurations."""
-    row = np.empty(N_JOINT_CONFIGS)
-    for i in range(N_JOINT_CONFIGS):
-        joint = JointConfig.from_index(i)
-        row[i] = service.tail_latency(
-            perf, joint.core, joint.cache_ways, load, n_cores
-        )
-    return row
+    return tail_latency_rows([(service, load)], perf, n_cores)[0]
 
 
 def latency_training_rows(
@@ -156,21 +150,20 @@ def latency_training_rows(
     The latency matrix's "known applications" are previously-seen
     services at a grid of loads.  ``exclude`` removes one (name, load)
     pair so a service under test never trains on its own exact row.
-    Returns the matrix and the (name, load) key per row.
+    Returns the matrix and the (name, load) key per row.  All rows are
+    built in one array pass (:func:`tail_latency_rows`).
     """
-    rows = []
-    keys = []
-    for service in services:
-        for load in loads:
-            if exclude is not None and (
-                service.name == exclude[0] and abs(load - exclude[1]) < 1e-9
-            ):
-                continue
-            rows.append(latency_row(service, perf, load, n_cores))
-            keys.append((service.name, load))
-    if not rows:
+    requests = [
+        (service, load)
+        for service in services
+        for load in loads
+        if exclude is None
+        or not (service.name == exclude[0] and abs(load - exclude[1]) < 1e-9)
+    ]
+    if not requests:
         raise ValueError("latency training set is empty")
-    return np.vstack(rows), keys
+    keys = [(service.name, load) for service, load in requests]
+    return tail_latency_rows(requests, perf, n_cores), keys
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from repro.sim.memory import MemoryDemand, MemorySystem
 from repro.sim.perf import AppProfile, PerformanceModel
 from repro.sim.power import PowerModel
 from repro.telemetry.tracer import NULL_TRACER, tracer_of
-from repro.workloads.latency_critical import LCService
+from repro.workloads.latency_critical import LCService, tail_latency_rows
 
 #: Readings at or below this magnitude are treated as exactly zero by
 #: the sensor path: an idle core reports 0.0 by construction, and
@@ -597,17 +597,11 @@ class Machine:
         reconstructed latency predictions are audited against.
         """
         service = self.lc_services[service_idx]
-        row = np.empty(N_JOINT_CONFIGS)
         with self.trace.span(
             "mgk.latency", category="oracle", kind="lc_row",
             evaluations=N_JOINT_CONFIGS,
         ):
-            for idx in range(N_JOINT_CONFIGS):
-                row[idx] = self.true_lc_p99(
-                    JointConfig.from_index(idx), load, n_cores,
-                    service=service,
-                )
-        return row
+            return tail_latency_rows([(service, load)], self.perf, n_cores)[0]
 
     # ------------------------------------------------------------------
     # Scheduler-facing interface.

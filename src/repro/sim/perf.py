@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.sim.cache import MissRateCurve
-from repro.sim.coreconfig import JOINT_CONFIGS, N_JOINT_CONFIGS, CoreConfig
+from repro.sim.coreconfig import CACHE_ALLOCS, CORE_CONFIGS, CoreConfig
 
 
 #: Convexity of the width penalty: dropping six-wide to four-wide costs
@@ -42,6 +42,13 @@ def width_penalty(width: int) -> float:
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     return (6.0 / width - 1.0) ** WIDTH_PENALTY_EXPONENT
+
+
+#: (fe, be, ls) width penalties of the 27 core configurations, in
+#: dense-index order (the rows of :meth:`PerformanceModel.cpi_row`).
+_SECTION_PENALTIES = np.array(
+    [[width_penalty(w) for w in core.widths()] for core in CORE_CONFIGS]
+)
 
 
 @dataclass(frozen=True)
@@ -187,14 +194,23 @@ class PerformanceModel:
         This is one row of the throughput ground-truth matrix used to
         train and evaluate the SGD reconstruction.
         """
-        row = np.empty(N_JOINT_CONFIGS)
-        for joint in JOINT_CONFIGS:
-            row[joint.index] = self.bips(profile, joint.core, joint.cache_ways)
-        return row
+        return self.effective_frequency_ghz * (1.0 / self.cpi_row(profile))
 
     def cpi_row(self, profile: AppProfile) -> np.ndarray:
-        """CPI of ``profile`` across all 108 joint configurations."""
-        row = np.empty(N_JOINT_CONFIGS)
-        for joint in JOINT_CONFIGS:
-            row[joint.index] = self.cpi(profile, joint.core, joint.cache_ways)
-        return row
+        """CPI of ``profile`` across all 108 joint configurations.
+
+        One array pass over the 27 x 4 (core, ways) grid with the same
+        operation order as :meth:`cpi_split`, so element ``i`` equals
+        :meth:`cpi` on ``JOINT_CONFIGS[i]`` bit for bit.
+        """
+        fe, be, ls = _SECTION_PENALTIES.T
+        core = (
+            profile.base_cpi
+            + profile.fe_sens * fe
+            + profile.be_sens * be
+            + profile.ls_sens * ls
+        )
+        blocking = profile.mem_blocking * (1.0 + profile.ls_mlp_sens * ls)
+        mpki = np.array([profile.miss_curve.mpki(w) for w in CACHE_ALLOCS])
+        memory = (mpki / 1000.0) * self.mem_latency_cycles * blocking[:, None]
+        return (core[:, None] + memory).ravel()

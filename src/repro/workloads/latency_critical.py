@@ -26,14 +26,19 @@ the 80 %-load tail latency on the widest core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
+import numpy as np
 
 from repro.rng import rng_for
 from repro.sim.cache import MissRateCurve
 from repro.sim.coreconfig import CoreConfig
 from repro.sim.perf import AppProfile, PerformanceModel
-from repro.workloads.queueing import MGkQueue
+from repro.workloads.queueing import (
+    MGkQueue,
+    p99_latency_array,
+    service_quantile_array,
+)
 
 #: Utilization at the max-QPS knee; loads are fractions of the knee QPS.
 KNEE_UTILIZATION = 0.85
@@ -168,6 +173,40 @@ class LCService:
             self.tail_latency(perf, config, cache_ways, load, n_cores)
             <= self.qos_latency_s
         )
+
+
+def tail_latency_rows(
+    requests: Sequence[Tuple[LCService, float]],
+    perf: PerformanceModel,
+    n_cores: int,
+) -> np.ndarray:
+    """p99 latency of each (service, load) on every joint configuration.
+
+    Row ``r``, column ``i`` equals :meth:`LCService.tail_latency` of
+    ``requests[r]`` on ``JOINT_CONFIGS[i]`` bit for bit, but the
+    queueing arithmetic of all rows runs as one array pass
+    (:func:`~repro.workloads.queueing.p99_latency_array`).
+    """
+    if not requests:
+        raise ValueError("tail_latency_rows needs at least one request")
+    means = np.vstack([
+        service.work_instructions / (perf.bips_row(service.profile) * 1e9)
+        for service, _ in requests
+    ])
+    s99 = np.vstack([
+        service_quantile_array(
+            0.99, row, service.service_scv, service.service_distribution
+        )
+        for (service, _), row in zip(requests, means)
+    ])
+    arrival = np.vstack([
+        np.full(means.shape[1], service.qps_at_load(load))
+        for service, load in requests
+    ])
+    scv = np.vstack([
+        np.full(means.shape[1], service.service_scv) for service, _ in requests
+    ])
+    return p99_latency_array(arrival, means, scv, n_cores, s99)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,10 @@ import numpy as np
 #: overload regime (queues grow without bound; latency is dominated by
 #: backlog accumulated over the measurement horizon).
 _SATURATION_RHO = 0.995
+
+#: Horizon (seconds) over which overload backlog accumulates: the paper
+#: measures tail latency over 100 ms timeslices.
+_OVERLOAD_HORIZON = 0.1
 
 
 def erlang_c(servers: int, offered_load: float) -> float:
@@ -61,6 +65,139 @@ def erlang_c(servers: int, offered_load: float) -> float:
     return math.exp(log_top - log_max) / denom
 
 
+def erlang_c_array(servers: int, offered_loads: np.ndarray) -> np.ndarray:
+    """:func:`erlang_c` over many offered loads at one server count.
+
+    Bit-identical to calling :func:`erlang_c` per element: the stable
+    loads share one 2-D log-space pass (``cumsum`` along the server
+    axis, row-wise max and sum), and the scalar code's ``math``
+    calls stay per element.
+    """
+    if servers <= 0:
+        raise ValueError(f"servers must be positive, got {servers}")
+    offered = np.asarray(offered_loads, dtype=float)
+    if np.any(offered < 0):
+        raise ValueError("offered loads must be non-negative")
+    rho = offered / servers
+    out = np.where(rho >= 1.0, 1.0, 0.0)
+    stable = (offered != 0) & (rho < 1.0)
+    if not stable.any():
+        return out
+    a = offered[stable]
+    log_terms = np.empty((a.size, servers + 1))
+    log_terms[:, 0] = 0.0
+    log_terms[:, 1:] = np.log(a)[:, None] - np.log(np.arange(1, servers + 1))
+    np.cumsum(log_terms, axis=1, out=log_terms)
+    log_top = log_terms[:, -1] - np.array(
+        [math.log(1.0 - r) for r in rho[stable]]
+    )
+    if servers > 1:
+        log_max = np.maximum(log_top, np.max(log_terms[:, :-1], axis=1))
+    else:
+        log_max = log_top
+    top = np.array([math.exp(t) for t in log_top - log_max])
+    rest = np.sum(np.exp(log_terms[:, :-1] - log_max[:, None]), axis=1)
+    out[stable] = top / (top + rest)
+    return out
+
+
+def _lognormal_shape(q: float, scv: float) -> Tuple[float, float]:
+    """``(sigma^2 / 2, z_q * sigma)`` of a lognormal with SCV ``scv``.
+
+    Its ``q`` quantile at mean ``m`` is
+    ``exp(log(m) - sigma^2 / 2 + z_q * sigma)``.
+    """
+    # Inverse normal CDF via Acklam-style rational approximation is
+    # overkill; for the fixed quantiles we use the exact constants.
+    z = {0.5: 0.0, 0.95: 1.6448536269514722,
+         0.99: 2.3263478740408408}.get(q)
+    if z is None:
+        raise ValueError("only q in {0.5, 0.95, 0.99} supported")
+    sigma2 = math.log(1.0 + scv)
+    return sigma2 / 2.0, z * math.sqrt(sigma2)
+
+
+def _lognormal_quantile(q: float, mean: float, scv: float) -> float:
+    """Quantile of a lognormal with the given mean and SCV."""
+    half, shift = _lognormal_shape(q, scv)
+    return math.exp(math.log(mean) - half + shift)
+
+
+def service_quantile_array(
+    q: float,
+    service_time_means: np.ndarray,
+    service_scv: float,
+    distribution: "Optional[ServiceDistribution]" = None,
+) -> np.ndarray:
+    """``MGkQueue._service_quantile(q)`` over an array of means."""
+    means = np.asarray(service_time_means, dtype=float)
+    if distribution is not None:
+        return np.array([distribution.quantile(q, m) for m in means])
+    if service_scv == 0:
+        return means.copy()
+    half, shift = _lognormal_shape(q, service_scv)
+    return np.array([math.exp(math.log(m) - half + shift) for m in means])
+
+
+def p99_latency_array(
+    arrival_rate: np.ndarray,
+    service_time_mean: np.ndarray,
+    service_scv: np.ndarray,
+    servers: int,
+    service_p99: np.ndarray,
+) -> np.ndarray:
+    """:meth:`MGkQueue.p99_latency` of many queues in one array pass.
+
+    The four arrays have one shape, one queue per element, all with
+    ``servers`` servers.  ``service_p99`` is each queue's service-time
+    99th percentile (:func:`service_quantile_array`).  Bit-identical to
+    building an :class:`MGkQueue` per element: the overload branch's
+    knee Erlang-C depends only on ``servers`` and is evaluated once,
+    the stable branch goes through :func:`erlang_c_array`.
+    """
+    arrival, mean, scv = arrival_rate, service_time_mean, service_scv
+    if np.any(arrival < 0):
+        raise ValueError("arrival_rate must be non-negative")
+    if np.any(mean <= 0):
+        raise ValueError("service_time_mean must be positive")
+    if np.any(scv < 0):
+        raise ValueError("service_scv must be non-negative")
+    if servers <= 0:
+        raise ValueError("servers must be positive")
+    rho = arrival * mean / servers
+    out = np.array(service_p99, dtype=float)
+    over = rho >= _SATURATION_RHO
+    if over.any():
+        # MGkQueue._overload_wait, with the knee probability hoisted.
+        knee_rho = _SATURATION_RHO * 0.99
+        p_knee = erlang_c(servers, knee_rho * servers)
+        knee_wait = (
+            p_knee
+            * mean[over]
+            / (servers * (1.0 - knee_rho))
+            * (1.0 + scv[over])
+            / 2.0
+        )
+        wait = knee_wait + np.maximum(0.0, rho[over] - 1.0) * _OVERLOAD_HORIZON
+        out[over] += wait * math.log(100.0)
+    stable = ~over & (arrival != 0)
+    if not stable.any():
+        return out
+    p_wait = np.zeros_like(rho)
+    p_wait[stable] = erlang_c_array(servers, arrival[stable] * mean[stable])
+    queued = stable & (p_wait > 0.01)
+    theta = (
+        servers
+        * (1.0 - rho[queued])
+        / mean[queued]
+        * 2.0
+        / (1.0 + scv[queued])
+    )
+    w99 = np.array([math.log(100.0 * p) for p in p_wait[queued]]) / theta
+    out[queued] += np.maximum(0.0, w99)
+    return out
+
+
 @dataclass(frozen=True)
 class MGkQueue:
     """Analytical M/G/k tail-latency model.
@@ -74,9 +211,8 @@ class MGkQueue:
     service_time_mean: float
     service_scv: float
     servers: int
-    #: Horizon over which overload backlog accumulates (the paper
-    #: measures tail latency over 100 ms timeslices).
-    overload_horizon: float = 0.1
+    #: Horizon over which overload backlog accumulates.
+    overload_horizon: float = _OVERLOAD_HORIZON
     #: Optional explicit distribution shape; None means lognormal with
     #: the given SCV.
     distribution: "Optional[ServiceDistribution]" = None
@@ -102,12 +238,7 @@ class MGkQueue:
             return self.distribution.quantile(q, self.service_time_mean)
         if self.service_scv == 0:
             return self.service_time_mean
-        sigma2 = math.log(1.0 + self.service_scv)
-        mu = math.log(self.service_time_mean) - sigma2 / 2.0
-        # Inverse normal CDF via Acklam-style rational approximation is
-        # overkill; for the fixed q=0.99 we use the exact constant.
-        z = {0.5: 0.0, 0.95: 1.6448536269514722, 0.99: 2.3263478740408408}[q]
-        return math.exp(mu + z * math.sqrt(sigma2))
+        return _lognormal_quantile(q, self.service_time_mean, self.service_scv)
 
     def mean_wait(self) -> float:
         """Mean queueing delay (Allen–Cunneen approximation)."""
@@ -246,13 +377,7 @@ class ServiceDistribution:
         if self.kind == "bimodal":
             short, long = self._short_long(mean)
             return long if q > 1 - self.long_fraction else short
-        sigma2 = math.log(1.0 + self.scv)
-        mu = math.log(mean) - sigma2 / 2.0
-        z = {0.5: 0.0, 0.95: 1.6448536269514722,
-             0.99: 2.3263478740408408}.get(q)
-        if z is None:
-            raise ValueError("only q in {0.5, 0.95, 0.99} supported")
-        return math.exp(mu + z * math.sqrt(sigma2))
+        return _lognormal_quantile(q, mean, self.scv)
 
     def sample(
         self, n: int, mean: float, rng: np.random.Generator

@@ -63,6 +63,15 @@ class TestRunBench:
         assert "quantum.decision" in names
         assert "telemetry.overhead" in names
         assert "telemetry.overhead_disabled" in names
+        assert "mgk.rows" in names
+
+    def test_mgk_rows_counts_one_cold_regime(self):
+        report = run_bench(repeats=1, only=["mgk.rows"])
+        case = report.cases["mgk.rows"]
+        # 20 training services (5 + 3 variants each) minus the running
+        # service's own row, each on all 108 joint configs.
+        assert case.counters == {"mgk_configs": 19 * 108}
+        assert len(case.wall_ms) == 1 and case.wall_ms[0] > 0
 
 
 class TestReportIO:

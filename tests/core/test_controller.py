@@ -206,3 +206,46 @@ class TestConfigValidation:
             ControllerConfig(lc_slack_to_yield=0.0)
         with pytest.raises(ValueError):
             ControllerConfig(explorer="simulated-annealing")
+
+
+class TestLatencyRegimeBuilds:
+    """The controller builds each latency regime once, through the
+    module-level ``latency_training_rows`` name.
+
+    Benchmarks attribute M/G/k row time by wrapping that name, so both
+    the call path and the one-build-per-regime count are pinned here.
+    """
+
+    def test_one_call_per_cold_regime_zero_when_warm(self, monkeypatch):
+        import repro.core.controller as controller_module
+
+        real = controller_module.latency_training_rows
+        calls = []
+
+        def counting(services, loads, perf, n_cores, exclude=None):
+            calls.append((exclude[0], tuple(loads), n_cores))
+            return real(services, loads, perf, n_cores, exclude=exclude)
+
+        monkeypatch.setattr(
+            controller_module, "latency_training_rows", counting
+        )
+        machine, controller = build_controller()
+        budget = machine.reference_max_power() * 0.7
+        name = machine.lc_service.name
+        per_quantum = []
+        for load in (0.3, 0.3, 0.3, 0.8, 0.8, 0.3, 0.3, 0.8):
+            before_calls = len(calls)
+            before_keys = set(controller._latency_matrices)
+            step(machine, controller, load, budget)
+            new_keys = set(controller._latency_matrices) - before_keys
+            quantum_calls = calls[before_calls:]
+            assert sorted(quantum_calls) == sorted(
+                (name, (bucket,), cores) for _, bucket, cores in new_keys
+            )
+            per_quantum.append(len(quantum_calls))
+        # Every build is a distinct regime; revisits are free.
+        assert len(set(calls)) == len(calls)
+        assert len(calls) == len(controller._latency_matrices)
+        assert per_quantum[0] > 0
+        # Warm quanta (every regime they touch already built) make none.
+        assert 0 in per_quantum

@@ -6,8 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.sim.cache import MissRateCurve
-from repro.sim.coreconfig import CORE_CONFIGS, N_JOINT_CONFIGS, CoreConfig
+from repro.sim.coreconfig import (
+    CORE_CONFIGS,
+    JOINT_CONFIGS,
+    N_JOINT_CONFIGS,
+    CoreConfig,
+)
 from repro.sim.perf import AppProfile, PerformanceModel, width_penalty
+from repro.workloads.batch import all_batch_profiles
+from repro.workloads.latency_critical import make_services
 
 
 def make_profile(**overrides):
@@ -134,6 +141,21 @@ class TestPerformanceModel:
         bips = perf.bips_row(profile)
         cpi = perf.cpi_row(profile)
         assert np.allclose(bips * cpi, perf.effective_frequency_ghz)
+
+    @pytest.mark.parametrize("reconfigurable", [True, False])
+    def test_rows_equal_scalar_path_bit_for_bit(self, reconfigurable):
+        # The rows are one array pass; every element must still be the
+        # scalar cpi()/bips() value exactly, for every batch profile and
+        # every latency-critical service profile.
+        model = PerformanceModel(reconfigurable=reconfigurable)
+        profiles = all_batch_profiles() + [
+            service.profile for service in make_services(model).values()
+        ]
+        for profile in profiles:
+            cpi = [model.cpi(profile, j.core, j.cache_ways) for j in JOINT_CONFIGS]
+            bips = [model.bips(profile, j.core, j.cache_ways) for j in JOINT_CONFIGS]
+            assert np.array_equal(model.cpi_row(profile), cpi), profile.name
+            assert np.array_equal(model.bips_row(profile), bips), profile.name
 
     def test_section_sensitivity_differentiates_apps(self, perf):
         # A BE-bound app must lose more from narrowing BE than an
