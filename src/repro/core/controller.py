@@ -1177,7 +1177,8 @@ class ResourceController:
                     "searcher": search_label,
                     "evaluations": int(result.evaluations),
                     **candidate_provenance(
-                        objective, result.explored, recorder.top_k
+                        objective, result.explored_x,
+                        result.explored_values, recorder.top_k,
                     ),
                 },
                 "power_fallback": {"cores_disabled": int(gated)},

@@ -11,13 +11,16 @@ radius ``r`` so threads do not explore the same neighbourhood (§VI-B).
 The implementation evaluates all threads' candidate points of a step as
 one vectorised batch when the objective provides ``evaluate_batch``
 (see :class:`repro.core.objective.SystemObjective`) — the moral
-equivalent of the paper's multi-threaded C++, and what keeps the search
-in the low-millisecond range of Table II.
+equivalent of the paper's multi-threaded C++, and what keeps a full
+search in tens of milliseconds of interpreter time.
 
 The decision vector has one dimension per batch job; each dimension's
 value is a joint-configuration index in ``[0, n_confs)``.  Out-of-range
 perturbations are *reflected* about the violated bound (Alg. 2 lines
-14-15).
+14-15).  A step draws its randoms in a fixed order (``random``, the
+conditional ``integers``, ``standard_normal``), so a seed fixes the
+whole search; ``tests/core/test_dds_oracle.py`` pins the step, and the
+search, to a straightforward reference bit for bit.
 """
 
 from __future__ import annotations
@@ -67,8 +70,12 @@ class DDSResult:
     best_objective: float
     #: Objective of the global best after each iteration.
     history: List[float] = field(default_factory=list)
-    #: Every point evaluated, as (decision vector, objective) pairs.
-    explored: List[Tuple[np.ndarray, float]] = field(default_factory=list)
+    #: Every point evaluated [N x n_dims] and its objective [N]; empty
+    #: unless the search ran with ``record_explored=True``.
+    explored_x: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=int)
+    )
+    explored_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     evaluations: int = 0
 
 
@@ -134,9 +141,11 @@ class DDSSearch:
         free_dims = np.array(
             [d for d in range(n_dims) if d not in fixed_dims], dtype=int
         )
+        n_free = free_dims.size
         result = DDSResult(best_x=np.zeros(n_dims, dtype=int),
                            best_objective=-np.inf)
         batch_eval = getattr(objective, "evaluate_batch", None)
+        explored: List[Tuple[np.ndarray, np.ndarray]] = []
 
         def apply_fixed(xs: np.ndarray) -> np.ndarray:
             for d, v in fixed:
@@ -150,11 +159,12 @@ class DDSSearch:
                 values = np.array([float(objective(x)) for x in xs])
             result.evaluations += xs.shape[0]
             if record_explored:
-                for x, v in zip(xs, values):
-                    result.explored.append((x.copy(), float(v)))
+                # Every block handed in here is a fresh array the loop
+                # never writes to again, so keeping references is safe.
+                explored.append((xs, values))
             return values
 
-        if free_dims.size == 0:
+        if n_free == 0:
             x = apply_fixed(np.zeros((1, n_dims), dtype=int))[0]
             value = evaluate_many(x[None, :])[0]
             return DDSResult(best_x=x, best_objective=float(value),
@@ -184,22 +194,29 @@ class DDSSearch:
             ]
             for t in range(params.n_threads)
         ])
+        # Per-thread step scale; the product is formed before it meets
+        # the normal draws, as (radius * n_confs) * N(0, 1).
+        step_scale = radii[:, None] * n_confs
+        # With no fixed dimension every column is perturbed, which lets
+        # _perturb_batch skip the column gather and scatter.
+        perturbed = free_dims if fixed else None
 
         for iteration in range(1, params.max_iter + 1):
             # Perturbation probability shrinks with iteration (line 10).
             prob = 1.0 - math.log(iteration) / math.log(params.max_iter)
-            prob = max(prob, 1.0 / free_dims.size)
+            prob = max(prob, 1.0 / n_free)
             local_x = np.repeat(best_x[None, :], params.n_threads, axis=0)
             local_val = np.full(params.n_threads, best_val)
             for _ in range(params.points_per_iteration):
                 new_x = self._perturb_batch(
-                    local_x, free_dims, prob, radii, n_confs, rng
+                    local_x, perturbed, prob, step_scale, n_confs, rng
                 )
-                apply_fixed(new_x)
+                if fixed:
+                    apply_fixed(new_x)
                 new_val = evaluate_many(new_x)
                 improved = new_val > local_val
-                local_x[improved] = new_x[improved]
-                local_val[improved] = new_val[improved]
+                np.copyto(local_x, new_x, where=improved[:, None])
+                np.copyto(local_val, new_val, where=improved)
             # Barrier: thread 0 aggregates (lines 18-21).
             top = int(np.argmax(local_val))
             if local_val[top] > best_val:
@@ -209,38 +226,56 @@ class DDSSearch:
 
         result.best_x = best_x
         result.best_objective = best_val
+        if explored:
+            result.explored_x = np.concatenate([x for x, _ in explored])
+            result.explored_values = np.concatenate([v for _, v in explored])
         return result
 
     @staticmethod
     def _perturb_batch(
         local_x: np.ndarray,
-        free_dims: np.ndarray,
+        free_dims: Optional[np.ndarray],
         prob: float,
-        radii: np.ndarray,
+        step_scale: np.ndarray,
         n_confs: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Perturb each thread's point on a random dimension subset.
 
-        Out-of-range values are reflected about the violated bound.
+        ``free_dims`` lists the perturbable columns, or is ``None`` when
+        every column is.  ``step_scale`` is each thread's
+        ``radius * n_confs`` as a column [n_threads x 1].  Out-of-range
+        values are reflected about the violated bound.  Returns a new
+        array; ``local_x`` is left untouched.
         """
         n_threads = local_x.shape[0]
-        new_x = local_x.copy()
-        chosen = rng.random((n_threads, free_dims.size)) < prob
+        n_free = local_x.shape[1] if free_dims is None else free_dims.size
+        chosen = rng.random((n_threads, n_free)) < prob
         # Every thread must perturb at least one dimension (Alg. 2).
-        empty = ~chosen.any(axis=1)
-        if empty.any():
-            forced = rng.integers(0, free_dims.size, size=int(empty.sum()))
-            chosen[np.nonzero(empty)[0], forced] = True
-        steps = (
-            radii[:, None] * n_confs
-            * rng.standard_normal((n_threads, free_dims.size))
-        )
-        values = new_x[:, free_dims].astype(float)
-        values = np.where(chosen, values + steps, values)
+        hit = np.logical_or.reduce(chosen, axis=1)
+        if not hit.all():
+            rows = np.flatnonzero(~hit)
+            chosen[rows, rng.integers(0, n_free, size=rows.size)] = True
+        steps = rng.standard_normal((n_threads, n_free))
+        steps *= step_scale
+        # Unchosen steps become +-0, which leave an integral value as is.
+        steps *= chosen
+        if free_dims is None:
+            values = local_x.astype(float)
+        else:
+            values = local_x[:, free_dims].astype(float)
+        values += steps
         upper = n_confs - 1
-        values = np.where(values < 0, -values, values)
-        values = np.where(values > upper, 2 * upper - values, values)
-        values = np.clip(values, 0, upper)
-        new_x[:, free_dims] = np.rint(values).astype(int)
+        # Reflect about 0, then about ``upper`` (min(v, 2u - v) is v
+        # below the bound and its mirror above it), then clamp what a
+        # long step carried past both bounds.  Reflecting below ``upper``
+        # leaves nothing above it, so only the lower clamp remains.
+        np.abs(values, out=values)
+        np.minimum(values, 2 * upper - values, out=values)
+        np.maximum(values, 0, out=values)
+        np.rint(values, out=values)
+        if free_dims is None:
+            return values.astype(int)
+        new_x = local_x.copy()
+        new_x[:, free_dims] = values
         return new_x

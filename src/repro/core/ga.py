@@ -54,7 +54,12 @@ class GAResult:
     best_x: np.ndarray
     best_objective: float
     history: List[float] = field(default_factory=list)
-    explored: List[Tuple[np.ndarray, float]] = field(default_factory=list)
+    #: Every point evaluated [N x n_dims] and its objective [N]; empty
+    #: unless the search ran with ``record_explored=True``.
+    explored_x: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=int)
+    )
+    explored_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     evaluations: int = 0
 
 
@@ -92,6 +97,7 @@ class GeneticSearch:
         result = GAResult(best_x=np.zeros(n_dims, dtype=int),
                           best_objective=-np.inf)
         batch_eval = getattr(objective, "evaluate_batch", None)
+        explored: List[Tuple[np.ndarray, np.ndarray]] = []
 
         def apply_fixed(x: np.ndarray) -> np.ndarray:
             for d, v in fixed:
@@ -106,8 +112,7 @@ class GeneticSearch:
                 values = np.array([float(objective(x)) for x in stacked])
             result.evaluations += stacked.shape[0]
             if record_explored:
-                for x, v in zip(stacked, values):
-                    result.explored.append((x.copy(), float(v)))
+                explored.append((stacked, values))
             return values
 
         population = [
@@ -136,6 +141,9 @@ class GeneticSearch:
         best = int(np.argmax(fitness))
         result.best_x = population[best]
         result.best_objective = float(fitness[best])
+        if explored:
+            result.explored_x = np.concatenate([x for x, _ in explored])
+            result.explored_values = np.concatenate([v for _, v in explored])
         if self.budget is not None:
             self.budget.charge(result.evaluations, phase="ga.search")
         return result

@@ -21,7 +21,8 @@ ways) is folded in as a fixed reservation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Tuple
 
 import numpy as np
 
@@ -58,6 +59,9 @@ class SystemObjective:
     #: mapping.  Pass an explicit array (or zeros) for searches over a
     #: different alphabet, e.g. Flicker's 27 core-only configurations.
     ways_by_config: np.ndarray = None
+    #: Per-config table rows and per-job offsets, built by __post_init__.
+    _tables: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bips.shape != self.power.shape:
@@ -85,6 +89,21 @@ class SystemObjective:
                 raise ValueError(
                     "ways_by_config must have one entry per configuration"
                 )
+        # Per-config tables, built once: rows of log throughput, power,
+        # half-way flag (0.5 is an exact sentinel, never computed) and
+        # whole ways, flattened job-major for one gather at xs + offsets.
+        n_jobs, n_confs = self.bips.shape
+        half = self.ways_by_config == 0.5  # repro: noqa[UNIT301]
+        tables = np.stack([
+            np.log(np.maximum(self.bips * self.time_share, 1e-12)).ravel(),
+            self.power.ravel(),
+            np.tile(half.astype(float), n_jobs),
+            np.tile(np.where(half, 0.0, self.ways_by_config), n_jobs),
+        ])
+        offsets = np.arange(n_jobs) * n_confs
+        for name, table in (("_tables", tables), ("_offsets", offsets)):
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     @property
     def n_jobs(self) -> int:
@@ -96,26 +115,31 @@ class SystemObjective:
         """Alphabet size of each decision dimension."""
         return self.bips.shape[1]
 
+    def _terms(self, xs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Summed log throughput, chip power and LLC ways at ``xs``."""
+        log_bips, power, halves, whole = np.add.reduce(
+            self._tables.take(xs + self._offsets, axis=1), axis=-1
+        )
+        ways = whole + np.ceil(halves / 2.0) + self.reserved_ways
+        return log_bips, power + self.reserved_power, ways
+
     def gmean_bips(self, x: np.ndarray) -> float:
         """Geometric mean of batch throughput for one decision vector."""
-        vals = self.bips[np.arange(self.n_jobs), x] * self.time_share
-        return float(np.exp(np.mean(np.log(np.maximum(vals, 1e-12)))))
+        log_bips = self._terms(np.asarray(x, dtype=int))[0]
+        return float(np.exp(log_bips / self.n_jobs))
 
     def total_power(self, x: np.ndarray) -> float:
         """Chip power of one decision vector, including reservations."""
-        return float(
-            np.sum(self.power[np.arange(self.n_jobs), x]) + self.reserved_power
-        )
+        return float(self.power_and_ways(x)[0])
 
     def total_ways(self, x: np.ndarray) -> float:
         """Physical LLC ways used, pairing half-way holders (Eq. 3)."""
-        ways = self.ways_by_config[x]
-        # 0.5 is the exact half-way sentinel from the config table,
-        # never the result of arithmetic.
-        halves = int(np.sum(ways == 0.5))  # repro: noqa[UNIT301]
-        whole = float(np.sum(ways[ways != 0.5]))  # repro: noqa[UNIT301]
-        paired = np.ceil(halves / 2.0) if halves else 0.0
-        return whole + paired + self.reserved_ways
+        return float(self.power_and_ways(x)[1])
+
+    def power_and_ways(self, xs: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Chip power and physical LLC ways (Eq. 2-3) of one vector
+        [n_jobs] or a batch [k x n_jobs], reservations included."""
+        return self._terms(np.asarray(xs, dtype=int))[1:]
 
     def __call__(self, x: np.ndarray) -> float:
         """Soft-penalty objective of one decision vector."""
@@ -125,8 +149,9 @@ class SystemObjective:
                 f"decision vector must have shape ({self.n_jobs},), got {x.shape}"
             )
         value = self.gmean_bips(x)
-        excess_power = max(0.0, self.total_power(x) - self.max_power)
-        excess_ways = max(0.0, self.total_ways(x) - self.max_ways)
+        power, ways = self.power_and_ways(x)
+        excess_power = max(0.0, float(power) - self.max_power)
+        excess_ways = max(0.0, float(ways) - self.max_ways)
         return (
             value
             - self.penalty_power * excess_power
@@ -145,15 +170,8 @@ class SystemObjective:
             raise ValueError(
                 f"batch must be [k x {self.n_jobs}], got {xs.shape}"
             )
-        cols = np.arange(self.n_jobs)[None, :]
-        bips = self.bips[cols, xs] * self.time_share
-        gmean = np.exp(np.mean(np.log(np.maximum(bips, 1e-12)), axis=1))
-        power = np.sum(self.power[cols, xs], axis=1) + self.reserved_power
-        ways = self.ways_by_config[xs]
-        # Exact half-way sentinel, as in total_ways above.
-        halves = np.sum(ways == 0.5, axis=1)  # repro: noqa[UNIT301]
-        whole = np.sum(np.where(ways == 0.5, 0.0, ways), axis=1)  # repro: noqa[UNIT301]
-        total_ways = whole + np.ceil(halves / 2.0) + self.reserved_ways
+        log_bips, power, total_ways = self._terms(xs)
+        gmean = np.exp(log_bips / self.n_jobs)
         return (
             gmean
             - self.penalty_power * np.maximum(0.0, power - self.max_power)
@@ -162,8 +180,8 @@ class SystemObjective:
 
     def is_feasible(self, x: np.ndarray, power_slack: float = 0.0) -> bool:
         """Hard-constraint check (used after the search, §VI-B)."""
-        x = np.asarray(x, dtype=int)
-        return (
-            self.total_power(x) <= self.max_power + power_slack
-            and self.total_ways(x) <= self.max_ways + 1e-9
+        power, ways = self.power_and_ways(x)
+        return bool(
+            power <= self.max_power + power_slack
+            and ways <= self.max_ways + 1e-9
         )

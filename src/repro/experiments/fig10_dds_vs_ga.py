@@ -107,7 +107,7 @@ def run_fig10a(
                 objective.total_power(x),
                 1.0 / max(objective.gmean_bips(x), 1e-9),
             )
-            for x, _ in result.explored
+            for x in result.explored_x
         )
         return ExplorationCloud(
             algorithm=algorithm,

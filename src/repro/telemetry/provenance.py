@@ -28,7 +28,7 @@ renders a record as a human-readable report (:func:`render_explain`).
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -98,24 +98,30 @@ class ProvenanceRecorder:
 # Candidate classification
 # ----------------------------------------------------------------------
 
+#: Rows classified per call into the objective: an explored set holds
+#: ~6450 rows, and one gather over all of them would allocate a
+#: transient several MiB wide, which shows in a daemon's peak RSS.
+_CLASSIFY_BLOCK = 1024
+
+
 def classify_candidates(
     objective: Any, xs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorised feasibility classification of decision vectors.
 
-    Mirrors :meth:`repro.core.objective.SystemObjective.evaluate_batch`'s
-    power/way arithmetic (including the 0.5 half-way pairing) over a
-    ``(n, n_dims)`` batch, duck-typed on the objective's public arrays
-    so the telemetry layer needs no ``repro.core`` import.  Returns
-    ``(power_w, total_ways, over_power, over_ways)``.
+    Reads power and ways from the objective's own ``power_and_ways``
+    (:meth:`repro.core.objective.SystemObjective.power_and_ways`),
+    duck-typed so the telemetry layer needs no ``repro.core`` import.
+    Returns ``(power_w, total_ways, over_power, over_ways)`` over a
+    ``(n, n_dims)`` batch.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=int))
-    cols = np.arange(xs.shape[1])[None, :]
-    power = np.sum(objective.power[cols, xs], axis=1) + objective.reserved_power
-    ways = objective.ways_by_config[xs]
-    halves = np.sum(ways == 0.5, axis=1)  # repro: noqa[UNIT301]
-    whole = np.sum(np.where(ways == 0.5, 0.0, ways), axis=1)  # repro: noqa[UNIT301]
-    total_ways = whole + np.ceil(halves / 2.0) + objective.reserved_ways
+    xs = np.atleast_2d(xs)
+    blocks = [
+        objective.power_and_ways(xs[i:i + _CLASSIFY_BLOCK])
+        for i in range(0, max(len(xs), 1), _CLASSIFY_BLOCK)
+    ]
+    power = np.concatenate([p for p, _ in blocks])
+    total_ways = np.concatenate([w for _, w in blocks])
     over_power = power > objective.max_power
     over_ways = total_ways > objective.max_ways + 1e-9
     return power, total_ways, over_power, over_ways
@@ -132,31 +138,33 @@ def _rejection_reason(over_power: bool, over_ways: bool) -> str:
 
 def candidate_provenance(
     objective: Any,
-    explored: Sequence[Tuple[np.ndarray, float]],
+    explored_x: np.ndarray,
+    explored_values: np.ndarray,
     top_k: int,
 ) -> Dict[str, Any]:
     """Summarise a search's explored set as top-K + aggregate counts.
 
-    ``explored`` is the searcher's ``(decision vector, objective)``
-    trace (``record_explored=True``).  Ties in the objective break by
+    ``explored_x`` [N x n_dims] and ``explored_values`` [N] are the
+    searcher's trace of evaluated points and their objectives
+    (``record_explored=True``).  Ties in the objective break by
     exploration order (stable sort), so the summary is deterministic.
     """
-    if not explored:
+    if explored_values.size == 0:
         return {
             "top_candidates": [],
             "rejections": {
                 "feasible": 0, "power_over_cap": 0, "cache_over_ways": 0,
             },
         }
-    xs = np.stack([x for x, _ in explored])
-    values = np.array([v for _, v in explored], dtype=float)
-    power, ways, over_power, over_ways = classify_candidates(objective, xs)
+    power, ways, over_power, over_ways = classify_candidates(
+        objective, explored_x
+    )
     feasible = ~(over_power | over_ways)
-    order = np.argsort(-values, kind="stable")[:top_k]
+    order = np.argsort(-explored_values, kind="stable")[:top_k]
     candidates = [
         {
-            "x": [int(v) for v in xs[i]],
-            "objective": float(values[i]),
+            "x": [int(v) for v in explored_x[i]],
+            "objective": float(explored_values[i]),
             "power_w": float(power[i]),
             "ways": float(ways[i]),
             "feasible": bool(feasible[i]),

@@ -96,7 +96,7 @@ class TestContract:
             objective, n_dims=8, n_confs=16, rng=np.random.default_rng(0),
             record_explored=True,
         )
-        for x, _ in result.explored:
+        for x in result.explored_x:
             assert np.all(x >= 0)
             assert np.all(x < 16)
 
@@ -105,12 +105,14 @@ class TestContract:
         silent = DDSSearch().search(
             objective, n_dims=4, n_confs=108, rng=np.random.default_rng(0)
         )
-        assert silent.explored == []
+        assert silent.explored_x.size == 0
+        assert silent.explored_values.size == 0
         verbose = DDSSearch().search(
             objective, n_dims=4, n_confs=108, rng=np.random.default_rng(0),
             record_explored=True,
         )
-        assert len(verbose.explored) == verbose.evaluations
+        assert len(verbose.explored_x) == verbose.evaluations
+        assert len(verbose.explored_values) == verbose.evaluations
 
     def test_deterministic_given_rng(self):
         objective = SeparableObjective(np.arange(6) * 10, 108)

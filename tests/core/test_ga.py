@@ -70,7 +70,8 @@ class TestContract:
             SeparableObjective(np.zeros(3, dtype=int)), 3, 20,
             np.random.default_rng(0), record_explored=True,
         )
-        assert len(result.explored) == result.evaluations
+        assert len(result.explored_x) == result.evaluations
+        assert len(result.explored_values) == result.evaluations
         assert result.evaluations == 10 * 3  # initial + 2 generations
 
     def test_deterministic(self):
@@ -84,7 +85,7 @@ class TestContract:
             SeparableObjective(np.zeros(6, dtype=int)), 6, 12,
             np.random.default_rng(0), record_explored=True,
         )
-        for x, _ in result.explored:
+        for x in result.explored_x:
             assert np.all((x >= 0) & (x < 12))
 
     def test_validation(self):

@@ -81,7 +81,7 @@ class TestBatchEvaluation:
         xs = rng.integers(0, N_JOINT_CONFIGS, size=(8, 4))
         batch = obj.evaluate_batch(xs)
         scalar = np.array([obj(x) for x in xs])
-        assert np.allclose(batch, scalar)
+        assert np.array_equal(batch, scalar)
 
     def test_batch_shape_validation(self):
         obj = make_objective()

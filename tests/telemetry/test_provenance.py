@@ -96,15 +96,28 @@ class TestClassifyCandidates:
             feasible = objective.is_feasible(x)
             assert bool(~(over_power[i] | over_ways[i])) == feasible
 
+    def test_blocked_classification_matches_one_batch(self):
+        # Larger than one classification block, with a ragged tail.
+        objective = self._objective()
+        xs = np.random.default_rng(12).integers(0, 6, size=(2500, 4))
+        power, ways, _, _ = classify_candidates(objective, xs)
+        whole_power, whole_ways = objective.power_and_ways(xs)
+        assert np.array_equal(power, whole_power)
+        assert np.array_equal(ways, whole_ways)
+
     def test_summary_is_bounded_and_deterministic(self):
         objective = self._objective()
         rng = np.random.default_rng(5)
-        explored = [
-            (rng.integers(0, 6, size=4), float(v))
-            for v in rng.uniform(0.0, 3.0, 20)
-        ]
-        first = candidate_provenance(objective, explored, top_k=5)
-        second = candidate_provenance(objective, explored, top_k=5)
+        explored_values = rng.uniform(0.0, 3.0, 20)
+        explored_x = np.stack(
+            [rng.integers(0, 6, size=4) for _ in explored_values]
+        )
+        first = candidate_provenance(
+            objective, explored_x, explored_values, top_k=5
+        )
+        second = candidate_provenance(
+            objective, explored_x, explored_values, top_k=5
+        )
         assert first == second
         assert len(first["top_candidates"]) == 5
         values = [c["objective"] for c in first["top_candidates"]]
@@ -114,7 +127,7 @@ class TestClassifyCandidates:
         assert rej["feasible"] + max(
             rej["power_over_cap"], rej["cache_over_ways"]
         ) >= rej["feasible"]
-        assert rej["feasible"] <= len(explored)
+        assert rej["feasible"] <= len(explored_values)
         for cand in first["top_candidates"]:
             assert cand["reason"] in (
                 "feasible", "power_over_cap", "cache_over_ways",
@@ -123,7 +136,10 @@ class TestClassifyCandidates:
             assert cand["feasible"] == (cand["reason"] == "feasible")
 
     def test_empty_explored(self):
-        summary = candidate_provenance(self._objective(), [], top_k=5)
+        summary = candidate_provenance(
+            self._objective(), np.empty((0, 4), dtype=int), np.empty(0),
+            top_k=5,
+        )
         assert summary["top_candidates"] == []
         assert summary["rejections"]["feasible"] == 0
 
