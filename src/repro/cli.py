@@ -68,6 +68,7 @@ hierarchy to INFO then DEBUG.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import Optional, Sequence
 
@@ -115,6 +116,51 @@ EXPERIMENTS = (
 )
 
 
+class _CliError(Exception):
+    """A one-line CLI failure: :func:`main` prints ``error: <message>``
+    and exits 2 (bad flags, unreadable input, unwritable output)."""
+
+
+def _paper_mix(index: int):
+    """The paper mix at ``index``, or a :class:`_CliError`."""
+    mixes = paper_mixes()
+    if not 0 <= index < len(mixes):
+        raise _CliError(f"mix index must be in [0, {len(mixes)})")
+    return mixes[index]
+
+
+def _fault_injector(args: argparse.Namespace):
+    """The injector ``--faults`` asks for (None without the flag)."""
+    if not args.faults:
+        return None
+    from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
+
+    try:
+        specs = parse_fault_spec(args.faults)
+    except FaultSpecError as exc:
+        raise _CliError(f"bad --faults spec: {exc}")
+    return FaultInjector(specs, seed=args.seed)
+
+
+def _read_json(path: str):
+    """One JSON document from ``path``, or a :class:`_CliError`."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise _CliError(f"cannot read {path}: {exc}")
+
+
+def _read_jsonl(path: str):
+    """A JSONL telemetry log's records, or a :class:`_CliError`."""
+    from repro.telemetry import read_jsonl
+
+    try:
+        return read_jsonl(path)
+    except (OSError, ValueError) as exc:
+        raise _CliError(f"cannot read {path}: {exc}")
+
+
 def _cmd_describe(args: argparse.Namespace) -> int:
     machine = build_machine_for_mix(paper_mixes()[0], seed=args.seed)
     print(machine.describe())
@@ -138,28 +184,19 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    mixes = paper_mixes()
-    if not 0 <= args.mix < len(mixes):
-        print(f"error: mix index must be in [0, {len(mixes)})",
-              file=sys.stderr)
-        return 2
+    mix = _paper_mix(args.mix)
     if args.stop_after is not None and not args.save_state:
-        print("error: --stop-after requires --save-state", file=sys.stderr)
-        return 2
+        raise _CliError("--stop-after requires --save-state")
     if args.resume_state and args.stop_after is not None:
-        print("error: --resume-state cannot combine with --stop-after",
-              file=sys.stderr)
-        return 2
+        raise _CliError("--resume-state cannot combine with --stop-after")
     needs_cuttlesys = (
         args.decision_budget is not None
         or args.stop_after is not None
         or args.resume_state
     )
     if needs_cuttlesys and args.policy != "cuttlesys":
-        print("error: --decision-budget/--stop-after/--resume-state "
-              "require --policy cuttlesys", file=sys.stderr)
-        return 2
-    mix = mixes[args.mix]
+        raise _CliError("--decision-budget/--stop-after/--resume-state "
+                        "require --policy cuttlesys")
     reference = reference_power_for_mix(mix, seed=args.seed)
     machine = build_machine_for_mix(
         mix, seed=args.seed,
@@ -176,27 +213,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
     else:
         policy = POLICIES[args.policy](machine, args.seed)
-    resume_state = None
-    if args.resume_state:
-        import json
-
-        try:
-            with open(args.resume_state) as handle:
-                resume_state = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.resume_state}: {exc}",
-                  file=sys.stderr)
-            return 2
-    faults = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
-
-        try:
-            specs = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        faults = FaultInjector(specs, seed=args.seed)
+    resume_state = (
+        _read_json(args.resume_state) if args.resume_state else None
+    )
+    faults = _fault_injector(args)
     telemetry = None
     wants_telemetry = (
         args.trace or args.jsonl or args.metrics or args.decisions_csv
@@ -219,25 +239,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     if args.save_state:
         if run.resume_state is None:
-            print("error: run completed without pausing; nothing to save "
-                  "(--stop-after must fall inside the run)",
-                  file=sys.stderr)
-            return 2
-        import json
-        import os
+            raise _CliError("run completed without pausing; nothing to save "
+                            "(--stop-after must fall inside the run)")
+        from repro.atomic import atomic_write_text
 
-        tmp = args.save_state + ".tmp"
         try:
-            with open(tmp, "w") as handle:
-                json.dump(run.resume_state, handle, sort_keys=True)
-                handle.write("\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, args.save_state)
+            atomic_write_text(
+                args.save_state,
+                json.dumps(run.resume_state, sort_keys=True) + "\n",
+            )
         except OSError as exc:
-            print(f"error: cannot write {args.save_state}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise _CliError(f"cannot write {args.save_state}: {exc}")
         print(f"paused at quantum {args.stop_after}; wrote "
               f"{args.save_state} (resume with --resume-state)")
     qos = machine.lc_service.qos_latency_s
@@ -269,9 +281,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 n = telemetry.decisions_to_csv(args.decisions_csv)
                 print(f"wrote {args.decisions_csv} ({n} quanta)")
         except OSError as exc:
-            print(f"error: cannot write telemetry output: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise _CliError(f"cannot write telemetry output: {exc}")
         if args.metrics:
             print()
             print(telemetry.report())
@@ -279,35 +289,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_telemetry_report(args: argparse.Namespace) -> int:
-    from repro.telemetry import read_jsonl, render_jsonl_report
+    from repro.telemetry import render_jsonl_report
 
-    try:
-        records = read_jsonl(args.log)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
-        return 2
-    print(render_jsonl_report(records))
+    print(render_jsonl_report(_read_jsonl(args.log)))
     return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.telemetry import read_jsonl
     from repro.telemetry.live import LiveAggregator, render_live_status
 
-    def render_once() -> int:
-        try:
-            records = read_jsonl(args.log)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.log}: {exc}",
-                  file=sys.stderr)
-            return 2
+    def render_once() -> None:
+        records = _read_jsonl(args.log)
         aggregator = LiveAggregator(window=args.window)
         aggregator.replay(records)
         print(render_live_status(aggregator))
-        return 0
 
     if not args.follow:
-        return render_once()
+        render_once()
+        return 0
     # --follow re-reads the log on an interval, like top(1).  Wall
     # clock is fine here: the CLI surface sits outside the determinism
     # contract (cf. render_scalability's timing column).
@@ -316,29 +315,21 @@ def _cmd_top(args: argparse.Namespace) -> int:
     try:
         while True:
             print("\x1b[2J\x1b[H", end="")
-            code = render_once()
-            if code:
-                return code
+            render_once()
             time.sleep(args.interval)
     except KeyboardInterrupt:
         return 0
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
-    from repro.telemetry import read_jsonl, render_dashboard
+    from repro.telemetry import render_dashboard
 
-    try:
-        records = read_jsonl(args.log)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
-        return 2
-    html = render_dashboard(records, title=args.title)
+    html = render_dashboard(_read_jsonl(args.log), title=args.title)
     try:
         with open(args.out, "w") as handle:
             handle.write(html)
     except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot write {args.out}: {exc}")
     print(f"wrote {args.out} ({len(html)} bytes, self-contained)")
     return 0
 
@@ -378,8 +369,6 @@ def _watch_live(args: argparse.Namespace):
 
 
 def _write_jsonl_records(path: str, records: Sequence[dict]) -> None:
-    import json
-
     with open(path, "w") as handle:
         for record in records:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -387,15 +376,10 @@ def _write_jsonl_records(path: str, records: Sequence[dict]) -> None:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.telemetry import read_jsonl, render_explain
+    from repro.telemetry import render_explain
     from repro.telemetry.provenance import provenance_records_from_jsonl
 
-    try:
-        records = read_jsonl(args.log)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
-        return 2
-    provenance = provenance_records_from_jsonl(records)
+    provenance = provenance_records_from_jsonl(_read_jsonl(args.log))
     if not provenance:
         print(f"error: {args.log} carries no provenance records "
               f"(written by runs with telemetry attached)",
@@ -414,32 +398,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
     from repro.experiments.replay import (
         ReplayMismatch, diff_provenance, replay_quantum,
     )
-    from repro.telemetry import read_jsonl
     from repro.telemetry.provenance import provenance_records_from_jsonl
 
-    mixes = paper_mixes()
-    if not 0 <= args.mix < len(mixes):
-        print(f"error: mix index must be in [0, {len(mixes)})",
-              file=sys.stderr)
-        return 2
-    try:
-        with open(args.state) as handle:
-            resume_state = json.load(handle)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.state}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        records = read_jsonl(args.jsonl)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read {args.jsonl}: {exc}", file=sys.stderr)
-        return 2
+    mix = _paper_mix(args.mix)
+    resume_state = _read_json(args.state)
     recorded = next(
-        (r for r in provenance_records_from_jsonl(records)
+        (r for r in provenance_records_from_jsonl(_read_jsonl(args.jsonl))
          if r.get("quantum") == args.quantum),
         None,
     )
@@ -447,7 +414,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: {args.jsonl} has no provenance record for "
               f"quantum {args.quantum}", file=sys.stderr)
         return 1
-    mix = mixes[args.mix]
     reference = reference_power_for_mix(mix, seed=args.seed)
     machine = build_machine_for_mix(mix, seed=args.seed)
     from repro.core.controller import ControllerConfig
@@ -458,16 +424,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             seed=args.seed, decision_budget=args.decision_budget
         ),
     )
-    faults = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
-
-        try:
-            specs = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        faults = FaultInjector(specs, seed=args.seed)
+    faults = _fault_injector(args)
     try:
         reproduced = replay_quantum(
             machine, policy, LoadTrace.constant(args.load), resume_state,
@@ -496,15 +453,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
 
     if args.log:
-        from repro.telemetry import read_jsonl
         from repro.telemetry.profiler import build_profile
 
-        try:
-            records = read_jsonl(args.log)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.log}: {exc}", file=sys.stderr)
-            return 2
-        root = build_profile(records)
+        root = build_profile(_read_jsonl(args.log))
         source = args.log
     else:
         # No log: profile a fixed-seed in-process run (the CI smoke
@@ -512,12 +463,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
         from repro.telemetry.profiler import profile_telemetry
 
-        mixes = paper_mixes()
-        if not 0 <= args.mix < len(mixes):
-            print(f"error: mix index must be in [0, {len(mixes)})",
-                  file=sys.stderr)
-            return 2
-        mix = mixes[args.mix]
+        mix = _paper_mix(args.mix)
         reference = reference_power_for_mix(mix, seed=args.seed)
         machine = build_machine_for_mix(mix, seed=args.seed)
         policy = CuttleSysPolicy.for_machine(machine, seed=args.seed)
@@ -544,9 +490,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             print(f"wrote {args.chrome} ({n} trace events)",
                   file=sys.stderr)
     except OSError as exc:
-        print(f"error: cannot write profile output: {exc}",
-              file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot write profile output: {exc}")
     if args.ops_only:
         # Deterministic surface only: byte-identical across runs,
         # hosts and --jobs levels (the CI diff gates this).
@@ -563,25 +507,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.telemetry import Telemetry, render_accuracy_report
 
-    mixes = paper_mixes()
-    if not 0 <= args.mix < len(mixes):
-        print(f"error: mix index must be in [0, {len(mixes)})",
-              file=sys.stderr)
-        return 2
-    mix = mixes[args.mix]
+    mix = _paper_mix(args.mix)
     reference = reference_power_for_mix(mix, seed=args.seed)
     machine = build_machine_for_mix(mix, seed=args.seed)
     policy = CuttleSysPolicy.for_machine(machine, seed=args.seed)
-    faults = None
-    if args.faults:
-        from repro.faults import FaultInjector, FaultSpecError, parse_fault_spec
-
-        try:
-            specs = parse_fault_spec(args.faults)
-        except FaultSpecError as exc:
-            print(f"error: bad --faults spec: {exc}", file=sys.stderr)
-            return 2
-        faults = FaultInjector(specs, seed=args.seed)
+    faults = _fault_injector(args)
     telemetry = Telemetry()
     telemetry.enable_accuracy_audit()
     run = run_policy(
@@ -620,31 +550,26 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         try:
             current = BenchReport.read(args.input)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return 2
+            raise _CliError(f"cannot read {args.input}: {exc}")
     else:
         try:
             current = run_bench(
                 repeats=args.repeats, seed=args.seed, only=args.only,
             )
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise _CliError(str(exc))
         print(render_report(current))
     if args.out:
         try:
             current.write(args.out)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return 2
+            raise _CliError(f"cannot write {args.out}: {exc}")
         print(f"wrote {args.out}")
     if args.compare:
         try:
             baseline = BenchReport.read(args.compare)
         except (OSError, ValueError) as exc:
-            print(f"error: cannot read {args.compare}: {exc}",
-                  file=sys.stderr)
-            return 2
+            raise _CliError(f"cannot read {args.compare}: {exc}")
         comparison = compare_reports(
             current, baseline,
             threshold_pct=args.threshold,
@@ -656,9 +581,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    code = _fleet_flags_error(args)
-    if code:
-        return code
+    _check_fleet_flags(args)
     name = args.name
     if name == "fig1":
         from repro.experiments.fig1_characterization import (
@@ -791,9 +714,7 @@ def _cmd_fault_study(args: argparse.Namespace) -> int:
     )
     from repro.faults import default_scenarios, scenario_by_name
 
-    code = _fleet_flags_error(args)
-    if code:
-        return code
+    _check_fleet_flags(args)
     if args.scenario:
         try:
             scenarios = tuple(
@@ -801,16 +722,11 @@ def _cmd_fault_study(args: argparse.Namespace) -> int:
                 for name in args.scenario
             )
         except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+            raise _CliError(exc.args[0])
     else:
         scenarios = default_scenarios(args.seed)
-    n_mixes = len(paper_mixes())
     for mix_index in args.mixes:
-        if not 0 <= mix_index < n_mixes:
-            print(f"error: mix index must be in [0, {n_mixes})",
-                  file=sys.stderr)
-            return 2
+        _paper_mix(mix_index)
     # Unit ids are mix-qualified, so the whole multi-mix sweep is one
     # fleet run: one checkpoint file, one live aggregator, one table.
     live = _watch_live(args)
@@ -844,9 +760,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.faults import default_scenarios
 
-    code = _fleet_flags_error(args)
-    if code:
-        return code
+    _check_fleet_flags(args)
     known = {s.name for s in default_scenarios(args.seed)}
     scenarios: list = []
     for name in args.scenarios:
@@ -856,9 +770,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             scenarios.append(name)
         else:
             options = ", ".join(sorted(known) + ["fault-free"])
-            print(f"error: unknown scenario {name!r}; expected one of "
-                  f"{options}", file=sys.stderr)
-            return 2
+            raise _CliError(f"unknown scenario {name!r}; expected one of "
+                            f"{options}")
     budgets: list = []
     for value in args.budgets:
         if value == "inf":
@@ -867,13 +780,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             try:
                 budgets.append(int(value))
             except ValueError:
-                print(f"error: --budgets takes integers or 'inf', "
-                      f"got {value!r}", file=sys.stderr)
-                return 2
+                raise _CliError(f"--budgets takes integers or 'inf', "
+                                f"got {value!r}")
     if args.slices < 2:
-        print("error: --slices must be at least 2 (the kill point must "
-              "fall inside the run)", file=sys.stderr)
-        return 2
+        raise _CliError("--slices must be at least 2 (the kill point must "
+                        "fall inside the run)")
     live = _watch_live(args)
     merged = [] if (args.jsonl or live is not None) else None
     outcomes = run_chaos_study(
@@ -924,8 +835,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         paths = [Path(repro.__file__).resolve().parent]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
-        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
+        raise _CliError(f"no such path: {', '.join(missing)}")
     cache = None
     if not args.no_cache:
         cache = LintCache(Path(args.cache or DEFAULT_CACHE_NAME))
@@ -941,9 +851,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    code = _fleet_flags_error(args)
-    if code:
-        return code
+    _check_fleet_flags(args)
     from repro.experiments.full_eval import render_report, run_full_evaluation
 
     fleet_stats: dict = {}
@@ -963,30 +871,25 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_flags_error(args: argparse.Namespace) -> int:
+def _check_fleet_flags(args: argparse.Namespace) -> None:
     """Validate the shared --jobs/--checkpoint/--resume flags.
 
-    Returns 0 when consistent; prints to stderr and returns 2 otherwise
-    (argparse cannot express the cross-flag dependency itself).
+    argparse cannot express the cross-flag dependency itself.
     """
     if getattr(args, "resume", False) and not getattr(args, "checkpoint", None):
-        print("error: --resume requires --checkpoint", file=sys.stderr)
-        return 2
-    return 0
+        raise _CliError("--resume requires --checkpoint")
 
 
-def _server_port(args: argparse.Namespace) -> Optional[int]:
-    """The daemon port from ``--port`` or ``--port-file``; None = error."""
+def _server_port(args: argparse.Namespace) -> int:
+    """The daemon port from ``--port`` or ``--port-file``."""
     if args.port is not None:
         return args.port
-    if args.port_file is not None:
-        try:
-            return int(open(args.port_file, encoding="utf-8").read().strip())
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read port file: {exc}", file=sys.stderr)
-            return None
-    print("error: need --port or --port-file", file=sys.stderr)
-    return None
+    if args.port_file is None:
+        raise _CliError("need --port or --port-file")
+    try:
+        return int(open(args.port_file, encoding="utf-8").read().strip())
+    except (OSError, ValueError) as exc:
+        raise _CliError(f"cannot read port file: {exc}")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1017,19 +920,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         run_daemon(config)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc))
     return 0
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
     from repro.server.script import ScriptedClient
 
     port = _server_port(args)
-    if port is None:
-        return 2
     request = {"op": "submit", "kind": args.kind, "name": args.name,
                "tenant": args.tenant, "priority": args.priority}
     if args.qos_ms is not None:
@@ -1040,8 +938,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         with ScriptedClient(args.host, port, args.timeout) as client:
             response = client.request(request)
     except (OSError, ConnectionError) as exc:
-        print(f"error: cannot reach daemon: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot reach daemon: {exc}")
     print(json.dumps(response, indent=2, sort_keys=True))
     if not response.get("ok"):
         return 1
@@ -1049,20 +946,15 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
-    import json
-
     from repro.server.script import ScriptedClient
 
     port = _server_port(args)
-    if port is None:
-        return 2
     try:
         with ScriptedClient(args.host, port, args.timeout) as client:
             status = client.request({"op": "status"})
             jobs = client.request({"op": "jobs"})
     except (OSError, ConnectionError) as exc:
-        print(f"error: cannot reach daemon: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(f"cannot reach daemon: {exc}")
     if args.json:
         print(json.dumps(
             {"status": status, "jobs": jobs.get("jobs", [])},
@@ -1096,13 +988,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.fleet import CheckpointError, FleetError, inspect_checkpoint
 
-    code = _fleet_flags_error(args)
-    if code:
-        return code
+    _check_fleet_flags(args)
     try:
         if args.fleet_command == "status":
-            import json
-
             payload = inspect_checkpoint(args.checkpoint_file)
             fingerprint = payload.get("fingerprint", {})
             completed = payload.get("completed", {})
@@ -1174,8 +1062,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         if args.fleet_command == "report":
             return _cmd_report(args)
     except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise _CliError(str(exc))
     except FleetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -1638,7 +1525,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "submit": _cmd_submit,
         "status": _cmd_status,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

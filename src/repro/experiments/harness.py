@@ -38,8 +38,7 @@ log = get_logger("experiments.harness")
 #: power violation.  Measured chip power carries ``slice_noise``-level
 #: measurement error (~2 % std, MachineParams), so excursions inside
 #: this band are indistinguishable from sensor noise rather than real
-#: budget breaches.  Shared by :meth:`PolicyRun.power_violations` and
-#: the per-quantum telemetry counter so both report the same number.
+#: budget breaches.  Read only by :meth:`PolicyRun.violated`.
 POWER_TOLERANCE = 0.02
 
 
@@ -131,28 +130,42 @@ class PolicyRun:
                 out[i] = float(np.exp(np.mean(np.log(active))))
         return out
 
+    def violated(
+        self, measurement: SliceMeasurement, budget: float
+    ) -> Tuple[bool, bool]:
+        """The one per-quantum rule: ``(qos_violated, power_violated)``.
+
+        QoS: the primary service's p99 exceeded its target while it held
+        at least one core, or any extra service's p99 exceeded its own.
+        Power: measured chip power exceeded ``budget`` by more than
+        :data:`POWER_TOLERANCE`.  The run counters, the per-quantum
+        telemetry counters, the live ``quantum`` event and the daemon's
+        decision line all call this.
+        """
+        qos_violated = (
+            measurement.lc_p99 > self.qos_s
+            and measurement.assignment.lc_cores > 0
+        ) or any(
+            p99 > qos
+            for p99, qos in zip(measurement.extra_lc_p99, self.qos_extra_s)
+        )
+        power_violated = (
+            measurement.total_power > budget * (1.0 + POWER_TOLERANCE)
+        )
+        return bool(qos_violated), bool(power_violated)
+
     def qos_violations(self) -> int:
         """Slices where any hosted service's p99 exceeded its QoS target."""
-        count = 0
-        for m in self.measurements:
-            violated = m.lc_p99 > self.qos_s and m.assignment.lc_cores > 0
-            for p99, qos in zip(m.extra_lc_p99, self.qos_extra_s):
-                violated = violated or p99 > qos
-            if violated:
-                count += 1
-        return count
-
-    def power_violations(self, tolerance: float = POWER_TOLERANCE) -> int:
-        """Slices whose measured power exceeded the budget (+tolerance).
-
-        ``tolerance`` defaults to :data:`POWER_TOLERANCE` (2 %): the
-        measurement-noise band within which an excursion cannot be told
-        apart from sensor error.  Pass 0.0 to count every overshoot.
-        """
         return sum(
-            1
+            self.violated(m, budget)[0]
             for m, budget in zip(self.measurements, self.budgets)
-            if m.total_power > budget * (1.0 + tolerance)
+        )
+
+    def power_violations(self) -> int:
+        """Slices whose measured power exceeded the budget (+2 %)."""
+        return sum(
+            self.violated(m, budget)[1]
+            for m, budget in zip(self.measurements, self.budgets)
         )
 
     def worst_p99_ratio(self) -> float:
@@ -298,85 +311,6 @@ def _record_decision(telemetry, quantum: int, policy,
     ))
 
 
-def _capture_harness_state(
-    machine: Machine,
-    policy,
-    run: PolicyRun,
-    next_slice: int,
-    load_estimate: float,
-    extra_estimates: Tuple[float, ...],
-    churn_rng: np.random.Generator,
-    faults,
-) -> Dict[str, Any]:
-    """Everything needed to resume the quantum loop at ``next_slice``.
-
-    The machine may be a :class:`~repro.faults.injector.FaultyMachine`;
-    ``snapshot`` delegates to the wrapped machine, and the injector's
-    own state travels under ``"faults"``.
-    """
-    return {
-        "version": 1,
-        "next_slice": next_slice,
-        "load_estimate": load_estimate,
-        "extra_estimates": list(extra_estimates),
-        "churn_rng": churn_rng.bit_generator.state,
-        "machine": machine.snapshot(),
-        "policy": policy.snapshot(),
-        "faults": faults.snapshot() if faults is not None else None,
-        "run": {
-            "degraded_quanta": run.degraded_quanta,
-            "churn_events": [list(event) for event in run.churn_events],
-            "loads": list(run.loads),
-            "budgets": list(run.budgets),
-            "measurements": [
-                measurement_state(m) for m in run.measurements
-            ],
-        },
-    }
-
-
-def _restore_harness_state(
-    state: Dict[str, Any],
-    machine: Machine,
-    policy,
-    run: PolicyRun,
-    churn_rng: np.random.Generator,
-    faults,
-) -> Tuple[int, float, Tuple[float, ...]]:
-    """Inverse of :func:`_capture_harness_state`.
-
-    Returns ``(next_slice, load_estimate, extra_estimates)``.
-    """
-    if state.get("version") != 1:
-        raise ValueError(
-            f"unsupported harness resume-state version: "
-            f"{state.get('version')!r}"
-        )
-    machine.restore(state["machine"])
-    policy.restore(state["policy"])
-    if state["faults"] is not None:
-        if faults is None:
-            raise ValueError(
-                "resume state carries fault-injector state but no "
-                "injector was passed"
-            )
-        faults.restore(state["faults"])
-    churn_rng.bit_generator.state = state["churn_rng"]
-    saved = state["run"]
-    run.degraded_quanta = int(saved["degraded_quanta"])
-    run.churn_events = [tuple(event) for event in saved["churn_events"]]
-    run.loads = [float(v) for v in saved["loads"]]
-    run.budgets = [float(v) for v in saved["budgets"]]
-    run.measurements = [
-        measurement_from_state(m) for m in saved["measurements"]
-    ]
-    return (
-        int(state["next_slice"]),
-        float(state["load_estimate"]),
-        tuple(float(v) for v in state["extra_estimates"]),
-    )
-
-
 class QuantumStepper:
     """Resumable stepwise iterator over the decision-quantum loop.
 
@@ -494,24 +428,74 @@ class QuantumStepper:
 
         Covers ``next_slice``, ``load_estimate`` and
         ``extra_estimates`` alongside the machine/policy/fault-injector
-        snapshots and the accumulated ``run`` measurements.
+        snapshots and the accumulated ``run`` measurements.  The machine
+        may be a :class:`~repro.faults.injector.FaultyMachine`;
+        ``snapshot`` delegates to the wrapped machine, and the
+        injector's own state travels under ``"faults"``.
         """
-        return _capture_harness_state(
-            self.machine, self.policy, self.run, self.next_slice,
-            self.load_estimate, self.extra_estimates, self.churn_rng,
-            self.faults,
-        )
+        run = self.run
+        return {
+            "version": 1,
+            "next_slice": self.next_slice,
+            "load_estimate": self.load_estimate,
+            "extra_estimates": list(self.extra_estimates),
+            "churn_rng": self.churn_rng.bit_generator.state,
+            "machine": self.machine.snapshot(),
+            "policy": self.policy.snapshot(),
+            "faults": (
+                self.faults.snapshot() if self.faults is not None else None
+            ),
+            "run": {
+                "degraded_quanta": run.degraded_quanta,
+                "churn_events": [list(event) for event in run.churn_events],
+                "loads": list(run.loads),
+                "budgets": list(run.budgets),
+                "measurements": [
+                    measurement_state(m) for m in run.measurements
+                ],
+            },
+        }
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`snapshot` (same construction arguments)."""
-        (
-            self.next_slice,
-            self.load_estimate,
-            self.extra_estimates,
-        ) = _restore_harness_state(
-            state, self.machine, self.policy, self.run, self.churn_rng,
-            self.faults,
+        if state.get("version") != 1:
+            raise ValueError(
+                f"unsupported harness resume-state version: "
+                f"{state.get('version')!r}"
+            )
+        self.machine.restore(state["machine"])
+        self.policy.restore(state["policy"])
+        if state["faults"] is not None:
+            if self.faults is None:
+                raise ValueError(
+                    "resume state carries fault-injector state but no "
+                    "injector was passed"
+                )
+            self.faults.restore(state["faults"])
+        self.churn_rng.bit_generator.state = state["churn_rng"]
+        saved = state["run"]
+        run = self.run
+        run.degraded_quanta = int(saved["degraded_quanta"])
+        run.churn_events = [tuple(event) for event in saved["churn_events"]]
+        run.loads = [float(v) for v in saved["loads"]]
+        run.budgets = [float(v) for v in saved["budgets"]]
+        run.measurements = [
+            measurement_from_state(m) for m in saved["measurements"]
+        ]
+        self.next_slice = int(state["next_slice"])
+        self.load_estimate = float(state["load_estimate"])
+        self.extra_estimates = tuple(
+            float(v) for v in state["extra_estimates"]
         )
+
+    def _count_degraded(self) -> None:
+        """Book one degraded quantum on the run and its counters."""
+        self.run.degraded_quanta += 1
+        if self.session_on:
+            self.telemetry.counter("harness.degraded_quanta").inc()
+            self.telemetry.counter(
+                "faults.recovered.degraded_quantum"
+            ).inc()
 
     def step(self) -> SliceMeasurement:
         """Execute exactly one decision quantum; returns its measurement."""
@@ -612,12 +596,8 @@ class QuantumStepper:
                         raise
                     degraded = True
                     assignment = _degraded_assignment(policy, run, machine)
-                    run.degraded_quanta += 1
+                    self._count_degraded()
                     if session_on:
-                        telemetry.counter("harness.degraded_quanta").inc()
-                        telemetry.counter(
-                            "faults.recovered.degraded_quantum"
-                        ).inc()
                         tracer.instant(
                             "degraded_quantum", category="faults",
                             error=type(exc).__name__,
@@ -649,14 +629,7 @@ class QuantumStepper:
                         raise
                     if not degraded:
                         degraded = True
-                        run.degraded_quanta += 1
-                        if session_on:
-                            telemetry.counter(
-                                "harness.degraded_quanta"
-                            ).inc()
-                            telemetry.counter(
-                                "faults.recovered.degraded_quantum"
-                            ).inc()
+                        self._count_degraded()
                     log.warning(
                         "slice %d: policy %s observe raised %s: %s; "
                         "measurement dropped",
@@ -676,14 +649,8 @@ class QuantumStepper:
                 metrics.counter("harness.reconfigurations").inc(
                     measurement.reconfigurations
                 )
-                qos_violated = (
-                    measurement.lc_p99 > run.qos_s
-                    and assignment.lc_cores > 0
-                ) or any(
-                    p99 > qos
-                    for p99, qos in zip(
-                        measurement.extra_lc_p99, run.qos_extra_s
-                    )
+                qos_violated, power_violated = run.violated(
+                    measurement, budget
                 )
                 if qos_violated:
                     metrics.counter("harness.qos_violations").inc()
@@ -692,10 +659,6 @@ class QuantumStepper:
                         "%.2f ms)", i, measurement.lc_p99 * 1e3,
                         run.qos_s * 1e3,
                     )
-                power_violated = (
-                    measurement.total_power
-                    > budget * (1.0 + POWER_TOLERANCE)
-                )
                 if power_violated:
                     metrics.counter("harness.power_violations").inc()
                 live = current_emitter()
@@ -713,7 +676,7 @@ class QuantumStepper:
                         lc_p99_ms=measurement.lc_p99 * 1e3,
                         power_w=measurement.total_power,
                         budget_w=budget,
-                        qos_violated=bool(qos_violated),
+                        qos_violated=qos_violated,
                         power_violated=power_violated,
                         predicted_power_w=getattr(
                             prediction, "power_w", None

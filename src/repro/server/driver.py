@@ -19,6 +19,7 @@ Batch slots start vacant — gated off through
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -27,9 +28,9 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.atomic import atomic_write_text
 from repro.core.runtime import CuttleSysPolicy
 from repro.experiments.harness import (
-    POWER_TOLERANCE,
     QuantumStepper,
     build_machine_for_mix,
     reference_power_for_mix,
@@ -315,22 +316,14 @@ class QuantumDriver:
         run = self.stepper.run
         assignment = measurement.assignment
         budget = run.budgets[-1]
-        qos_violated = (
-            measurement.lc_p99 > run.qos_s and assignment.lc_cores > 0
-        ) or any(
-            p99 > qos
-            for p99, qos in zip(measurement.extra_lc_p99, run.qos_extra_s)
-        )
-        power_violated = (
-            measurement.total_power > budget * (1.0 + POWER_TOLERANCE)
-        )
+        qos_violated, power_violated = run.violated(measurement, budget)
         return {
             "quantum": index,
             "lc_p99_ms": measurement.lc_p99 * 1e3,
             "power_w": measurement.total_power,
             "budget_w": budget,
-            "qos_violated": bool(qos_violated),
-            "power_violated": bool(power_violated),
+            "qos_violated": qos_violated,
+            "power_violated": power_violated,
             "assignment": {
                 "lc_cores": assignment.lc_cores,
                 "lc_config": (
@@ -455,15 +448,12 @@ class QuantumDriver:
             "decision_count": self.decision_count,
             "decision_tail": list(self._decision_tail),
         }
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.with_name(target.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(state, handle, sort_keys=True)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        # Streamed chunk by chunk: the snapshot grows with every quantum,
+        # and building it as one string first raises the daemon's peak
+        # memory by several MiB.
+        chunks = json.JSONEncoder(sort_keys=True).iterencode(state)
+        atomic_write_text(path, itertools.chain(chunks, ["\n"]))
         self.snapshots_written += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("server.snapshots").inc()
@@ -521,10 +511,4 @@ class QuantumDriver:
                 "(crash landed between append and snapshot)",
                 path, len(lines), len(kept),
             )
-        tmp = target.with_name(target.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for line in kept:
-                handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, target)
+        atomic_write_text(target, "".join(line + "\n" for line in kept))

@@ -72,16 +72,6 @@ class ScriptedClient:
                 continue
             return line
 
-    def drain_events(self, n: int, timeout_s: float = 30.0) -> None:
-        """Block until ``n`` total events have been collected."""
-        self.sock.settimeout(timeout_s)
-        while len(self.events) < n:
-            line = self.read_line()
-            if line is None:
-                raise ConnectionError("server closed during drain")
-            if "event" in line:
-                self.events.append(line)
-
 
 def run_script(
     commands: Sequence[Dict[str, Any]],

@@ -67,6 +67,7 @@ def probe_app(mix: int, seed: int, app: str, n_slices: int) -> Dict[str, Any]:
         run_policy,
     )
     from repro.workloads.batch import batch_profile
+    from repro.workloads.loadgen import LoadTrace
     from repro.workloads.mixes import paper_mixes
 
     the_mix = paper_mixes()[mix]
@@ -75,12 +76,9 @@ def probe_app(mix: int, seed: int, app: str, n_slices: int) -> Dict[str, Any]:
     for slot in range(len(machine.batch_profiles)):
         machine.replace_batch_job(slot, profile)
     policy = CuttleSysPolicy.for_machine(machine, seed=seed)
-
-    class _Flat:
-        def load_at(self, t: float) -> float:
-            return 0.5
-
-    run = run_policy(machine, policy, _Flat(), n_slices=n_slices)
+    run = run_policy(
+        machine, policy, LoadTrace.constant(0.5), n_slices=n_slices
+    )
     bips = [
         float(np.sum(m.batch_bips)) for m in run.measurements
     ]

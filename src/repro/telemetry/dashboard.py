@@ -74,17 +74,6 @@ def _axis(y_to, y_lo: float, y_hi: float, x_label: str) -> List[str]:
     return parts
 
 
-def _polyline(points: Sequence[Tuple[float, float]], css: str,
-              label: str) -> str:
-    coords = " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
-    dots = "".join(
-        f'<circle class="hit" cx="{x:.1f}" cy="{y:.1f}" r="7">'
-        f"<title>{_esc(title)}</title></circle>"
-        for (x, y), title in zip(points, label.split("\x00"))
-    ) if "\x00" in label else ""
-    return f'<polyline class="{css}" points="{coords}"/>' + dots
-
-
 def _line_chart(
     title: str,
     unit_label: str,

@@ -225,12 +225,15 @@ METRICS_REFERENCE: Tuple[MetricDoc, ...] = (
     MetricDoc(
         "harness.power_violations", "counter", "quanta",
         "repro.experiments.harness",
-        "Quanta whose measured power exceeded the cap.",
+        "Quanta whose measured chip power exceeded the budget x 1.02 "
+        "(rule: `PolicyRun.violated`).",
     ),
     MetricDoc(
         "harness.qos_violations", "counter", "quanta",
         "repro.experiments.harness",
-        "Quanta with at least one LC service over its QoS target.",
+        "Quanta where the primary LC service (while holding at least "
+        "one core) or any extra service exceeded its p99 QoS target "
+        "(rule: `PolicyRun.violated`).",
     ),
     MetricDoc(
         "harness.reconfigurations", "counter", "events",

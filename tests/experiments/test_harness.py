@@ -136,23 +136,49 @@ class TestPowerTolerance:
     def test_default_matches_constant(self):
         run = PolicyRun(policy_name="x", power_budget_w=100.0)
         run.budgets = [100.0]
-        m = type("M", (), {"total_power": 101.9})()
+        m = type(
+            "M", (), {"total_power": 101.9, "lc_p99": 0.0, "extra_lc_p99": ()}
+        )()
         run.measurements = [m]
         assert run.power_violations() == 0  # inside the band
-        assert run.power_violations(tolerance=0.0) == 1
         m.total_power = 102.1
         assert run.power_violations() == 1  # outside the band
 
-    def test_telemetry_counter_agrees_with_policyrun(self, mix):
+    @pytest.mark.parametrize("setup", ["no-gating", "two-service-faults"])
+    def test_telemetry_counter_agrees_with_policyrun(self, mix, setup):
+        from repro.core.runtime import CuttleSysPolicy
+        from repro.experiments.multi_service import build_two_service_machine
+        from repro.faults import FaultInjector, parse_fault_spec
         from repro.telemetry import Telemetry
 
-        machine = build_machine_for_mix(mix, seed=1, reconfigurable=False)
         telemetry = Telemetry()
-        run = run_policy(
-            machine, NoGatingPolicy(), LoadTrace.constant(0.5),
-            power_cap_fraction=0.5, n_slices=3, telemetry=telemetry,
-        )
+        if setup == "no-gating":
+            # Ignores the budget: power violations on every slice.
+            machine = build_machine_for_mix(mix, seed=1, reconfigurable=False)
+            run = run_policy(
+                machine, NoGatingPolicy(), LoadTrace.constant(0.5),
+                power_cap_fraction=0.5, n_slices=3, telemetry=telemetry,
+            )
+        else:
+            # Two services at high load under failed reconfigurations:
+            # QoS violations, counted across both services.
+            machine = build_two_service_machine(seed=7)
+            faults = FaultInjector(
+                parse_fault_spec(
+                    "failed_reconfig:rate=0.6,duration=2,start=1"
+                ),
+                seed=7,
+            )
+            run = run_policy(
+                machine, CuttleSysPolicy.for_machine(machine, seed=7),
+                LoadTrace.constant(0.6), power_cap_fraction=0.6,
+                n_slices=6, extra_traces=(LoadTrace.constant(0.6),),
+                telemetry=telemetry, faults=faults,
+            )
+            assert faults.injected.get("failed_reconfig", 0) > 0
+        assert run.qos_violations() + run.power_violations() > 0
         counters = telemetry.metrics.as_dict()["counters"]
+        assert counters.get("harness.qos_violations", 0) == run.qos_violations()
         assert counters.get("harness.power_violations", 0) == run.power_violations()
 
 

@@ -100,6 +100,19 @@ class TestDriverBasics:
         with pytest.raises(ValueError):
             QuantumDriver(ServerConfig(mix=999))
 
+    def test_decision_flags_agree_with_policyrun(self, tmp_path):
+        # A tight cap makes both constraints trip within ten quanta.
+        driver = make_driver(tmp_path, power_cap_fraction=0.4)
+        run_quanta(driver, 0, 10)
+        lines = (tmp_path / "run_dec.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        run = driver.stepper.run
+        qos = sum(r["qos_violated"] for r in records)
+        power = sum(r["power_violated"] for r in records)
+        assert qos > 0 and power > 0
+        assert qos == run.qos_violations()
+        assert power == run.power_violations()
+
     def test_tick_beyond_max_quanta_raises(self, tmp_path):
         driver = make_driver(tmp_path, max_quanta=2)
         driver.tick()
