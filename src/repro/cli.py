@@ -786,7 +786,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         raise _CliError("--slices must be at least 2 (the kill point must "
                         "fall inside the run)")
     live = _watch_live(args)
-    merged = [] if (args.jsonl or live is not None) else None
+    merged = [] if args.jsonl else None
     outcomes = run_chaos_study(
         seeds=tuple(args.seeds),
         mix_indices=tuple(args.mixes),
@@ -1025,10 +1025,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 render_cluster_study, run_cluster_study,
             )
             live = _watch_live(args)
-            # Collecting the merged log whenever --watch is on makes
-            # every watched run exercise the streaming-vs-post-hoc
-            # equivalence self-check inside run_cluster_study.
-            merged = [] if (args.jsonl or live is not None) else None
+            merged = [] if args.jsonl else None
             results = run_cluster_study(
                 n_slices=args.slices, seed=args.seed, jobs=args.jobs,
                 checkpoint=args.checkpoint, resume=args.resume,
@@ -1045,7 +1042,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 render_scalability, run_scalability,
             )
             live = _watch_live(args)
-            merged = [] if (args.jsonl or live is not None) else None
+            merged = [] if args.jsonl else None
             points = run_scalability(
                 core_counts=tuple(args.cores), n_slices=args.slices,
                 seed=args.seed, jobs=args.jobs, checkpoint=args.checkpoint,

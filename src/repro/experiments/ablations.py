@@ -41,11 +41,8 @@ from repro.fleet import (
     FleetParams,
     FleetRun,
     WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
 )
 from repro.sim.coreconfig import N_JOINT_CONFIGS
-from repro.telemetry.live import LiveAggregator
 from repro.workloads.batch import batch_profile, train_test_split
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
@@ -68,7 +65,6 @@ def _run_cuttlesys(
     seed: int,
     config: ControllerConfig,
     label: str,
-    telemetry: Any = None,
     train_profiles: Optional[Sequence] = None,
 ) -> AblationRow:
     mix = paper_mixes()[mix_index]
@@ -80,7 +76,6 @@ def _run_cuttlesys(
     run = run_policy(
         machine, policy, LoadTrace.constant(0.8),
         power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-        telemetry=telemetry,
     )
     return AblationRow(
         label=label,
@@ -353,7 +348,6 @@ _TRANSITION_SECONDS: Dict[str, float] = {
 
 def _run_oracle(
     mix_index: int, cap: float, n_slices: int, seed: int, label: str,
-    telemetry: Any = None,
 ) -> AblationRow:
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
@@ -361,7 +355,6 @@ def _run_oracle(
     run = run_policy(
         machine, OracleReconfigPolicy(seed=seed), LoadTrace.constant(0.8),
         power_cap_fraction=cap, n_slices=n_slices, max_power_w=reference,
-        telemetry=telemetry,
     )
     return AblationRow(
         label=label,
@@ -432,25 +425,18 @@ def _ablation_cell(
     mix_index: int,
     n_slices: int,
     seed: int,
-    collect_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """One (ablation, variant) simulation as a JSONable fleet unit."""
     cap = _ABLATION_CAPS[ablation]
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     if ablation == "inference":
         if variant == "sgd":
             row = _run_cuttlesys(
                 mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-                "cuttlesys (SGD inference)", telemetry=session,
+                "cuttlesys (SGD inference)",
             )
         else:
             row = _run_oracle(
                 mix_index, cap, n_slices, seed, "oracle inference",
-                telemetry=session,
             )
     elif ablation == "guards":
         config = (
@@ -464,7 +450,7 @@ def _ablation_cell(
         )
         label = "guards on (default)" if variant == "on" else "guards off"
         row = _run_cuttlesys(
-            mix_index, cap, n_slices, seed, config, label, telemetry=session
+            mix_index, cap, n_slices, seed, config, label
         )
     elif ablation == "variants":
         config = (
@@ -476,14 +462,14 @@ def _ablation_cell(
             else "no variants"
         )
         row = _run_cuttlesys(
-            mix_index, cap, n_slices, seed, config, label, telemetry=session
+            mix_index, cap, n_slices, seed, config, label
         )
     elif ablation == "training-size":
         size = int(variant)
         train_names, _ = train_test_split(n_train=size)
         row = _run_cuttlesys(
             mix_index, cap, n_slices, seed, ControllerConfig(seed=seed),
-            f"{size} training apps", telemetry=session,
+            f"{size} training apps",
             train_profiles=[batch_profile(n) for n in train_names],
         )
     elif ablation == "penalty-weight":
@@ -508,7 +494,7 @@ def _ablation_cell(
         run = run_policy(
             machine, policy, LoadTrace.constant(0.8),
             power_cap_fraction=cap, n_slices=n_slices,
-            max_power_w=reference, telemetry=session,
+            max_power_w=reference,
         )
         row = AblationRow(
             label=f"transition {transition * 1e3:g} ms",
@@ -523,7 +509,7 @@ def _ablation_cell(
         )
     else:
         raise ValueError(f"unknown ablation {ablation!r}")
-    cell: Dict[str, Any] = {
+    return {
         "ablation": ablation,
         "variant": variant,
         "label": row.label,
@@ -531,16 +517,12 @@ def _ablation_cell(
         "qos_violations": row.qos_violations,
         "power_violations": row.power_violations,
     }
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
-    return cell
 
 
 def ablation_units(
     mix_index: int,
     n_slices: int,
     seed: int,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The matrix's fleet work units, one per (ablation, variant)."""
     return [
@@ -550,7 +532,6 @@ def ablation_units(
             kwargs={
                 "ablation": ablation, "variant": variant,
                 "mix_index": mix_index, "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for ablation, variants in ABLATION_MATRIX
@@ -585,9 +566,6 @@ def run_ablation_matrix(
     jobs: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
 ) -> Dict[str, Tuple[AblationRow, ...]]:
     """Every ablation of :data:`ABLATION_MATRIX` as one sharded grid.
 
@@ -596,31 +574,12 @@ def run_ablation_matrix(
     """
     fleet = FleetRun(
         "ablations",
-        ablation_units(
-            mix_index, n_slices, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
-        ),
+        ablation_units(mix_index, n_slices, seed),
         FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={"mix_index": mix_index, "n_slices": n_slices},
-        telemetry=telemetry,
-        live=live,
     )
     outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return rows_from_cells(outcome.values())
 
 

@@ -432,17 +432,7 @@ def run_chaos_study(
     )
     outcome = fleet.execute()
     if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
+        merged_telemetry.extend(merge_unit_telemetry(outcome.results))
     return outcomes_from_cells(outcome.values())
 
 

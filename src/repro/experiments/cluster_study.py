@@ -174,9 +174,7 @@ def run_cluster_study(
     ``merged_telemetry`` / ``live`` mirror
     :func:`repro.experiments.scalability.run_scalability`: collect
     per-unit telemetry into one merged session log, and optionally
-    stream it through a :class:`LiveAggregator` mid-run.  When both
-    are given, the merged log comes from the aggregator's incremental
-    merge *after* it is verified byte-identical to the post-hoc one.
+    stream events into a :class:`LiveAggregator` mid-run.
     """
     fleet = FleetRun(
         "cluster_study",
@@ -194,17 +192,7 @@ def run_cluster_study(
     )
     outcome = fleet.execute()
     if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
+        merged_telemetry.extend(merge_unit_telemetry(outcome.results))
     return outcomes_from_cells(outcome.values())
 
 

@@ -43,11 +43,8 @@ from repro.fleet import (
     FleetParams,
     FleetRun,
     WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
 )
 from repro.sim.machine import Machine
-from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -94,7 +91,6 @@ def _fig5c_cell(
     n_slices: int,
     load: float,
     seed: int,
-    collect_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """One (cap, mix) fleet unit: every catalogue policy on that mix.
 
@@ -105,11 +101,6 @@ def _fig5c_cell(
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
     trace = LoadTrace.constant(load)
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     relative: Dict[str, float] = {}
     qos: Dict[str, int] = {}
     baseline_instr = None
@@ -125,7 +116,6 @@ def _fig5c_cell(
             power_cap_fraction=cap,
             n_slices=n_slices,
             max_power_w=reference,
-            telemetry=session,
         )
         instr = run.total_batch_instructions()
         if name == "no-gating":
@@ -133,15 +123,12 @@ def _fig5c_cell(
         if baseline_instr:
             relative[name] = instr / baseline_instr
         qos[name] = run.qos_violations()
-    cell: Dict[str, Any] = {
+    return {
         "cap": cap,
         "mix_index": mix_index,
         "relative": relative,
         "qos_violations": qos,
     }
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
-    return cell
 
 
 def fig5c_units(
@@ -150,7 +137,6 @@ def fig5c_units(
     n_slices: int,
     load: float,
     seed: int,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The sweep's fleet work units, one per (cap, mix)."""
     return [
@@ -160,7 +146,6 @@ def fig5c_units(
             kwargs={
                 "cap": cap, "mix_index": mix_index, "n_slices": n_slices,
                 "load": load, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for cap in caps
@@ -197,47 +182,24 @@ def run_fig5c(
     jobs: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
 ) -> Fig5cResult:
     """Sweep policies x caps x mixes at near-saturation load.
 
     The (cap, mix) grid executes as fleet work units: ``jobs`` shards
-    it across worker processes, ``checkpoint``/``resume`` make the
-    sweep crash-safe, and ``merged_telemetry``/``live`` follow the
-    same contract as :func:`repro.experiments.scalability.run_scalability`.
+    it across worker processes and ``checkpoint``/``resume`` make the
+    sweep crash-safe.
     """
     fleet = FleetRun(
         "fig5c",
-        fig5c_units(
-            mix_indices, caps, n_slices, load, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
-        ),
+        fig5c_units(mix_indices, caps, n_slices, load, seed),
         FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={
             "mix_indices": list(mix_indices), "caps": list(caps),
             "n_slices": n_slices, "load": load,
         },
-        telemetry=telemetry,
-        live=live,
     )
     outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     policies = tuple(name for name, _, _ in policy_catalogue(seed))
     return result_from_cells(outcome.values(), tuple(caps), policies)
 

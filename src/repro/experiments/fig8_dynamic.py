@@ -32,10 +32,7 @@ from repro.fleet import (
     FleetParams,
     FleetRun,
     WorkUnit,
-    merge_unit_telemetry,
-    telemetry_records,
 )
-from repro.telemetry.live import LiveAggregator
 from repro.workloads.loadgen import LoadTrace
 from repro.workloads.mixes import paper_mixes
 
@@ -87,7 +84,6 @@ def _run(
     seed: int,
     power_cap_trace: Optional[List[float]] = None,
     config: Optional[ControllerConfig] = None,
-    telemetry: Any = None,
 ) -> DynamicTrace:
     mix = paper_mixes()[mix_index]
     reference = reference_power_for_mix(mix, seed=seed)
@@ -101,26 +97,22 @@ def _run(
         n_slices=n_slices,
         power_cap_trace=power_cap_trace,
         max_power_w=reference,
-        telemetry=telemetry,
     )
     return _trace_from_run(scenario, run, machine.lc_service.qos_latency_s)
 
 
 def run_fig8a(
     mix_index: int = 0, n_slices: int = 20, seed: int = 7,
-    telemetry: Any = None,
 ) -> DynamicTrace:
     """Diurnal load 20 % -> 80 % -> 20 % at a 70 % power cap."""
     diurnal = LoadTrace.diurnal(low=0.2, high=0.8, period=n_slices * 0.1)
     return _run(
         diurnal, 0.7, n_slices, "fig8a-varying-load", mix_index, seed,
-        telemetry=telemetry,
     )
 
 
 def run_fig8b(
     mix_index: int = 0, n_slices: int = 20, seed: int = 7,
-    telemetry: Any = None,
 ) -> DynamicTrace:
     """Power budget step 90 % -> 60 % -> 90 % at constant 80 % load."""
     third = n_slices // 3
@@ -133,13 +125,12 @@ def run_fig8b(
         mix_index,
         seed,
         power_cap_trace=cap_trace,
-        telemetry=telemetry,
     )
 
 
 def run_fig8c(
     mix_index: int = 0, n_slices: int = 24, seed: int = 7,
-    surge_load: float = 1.3, telemetry: Any = None,
+    surge_load: float = 1.3,
 ) -> DynamicTrace:
     """Load surge past saturation forcing core relocation, then recovery.
 
@@ -154,7 +145,6 @@ def run_fig8c(
     )
     return _run(
         surge, 0.7, n_slices, "fig8c-core-relocation", mix_index, seed,
-        telemetry=telemetry,
     )
 
 
@@ -163,35 +153,24 @@ def _fig8_cell(
     mix_index: int,
     n_slices: Optional[int],
     seed: int,
-    collect_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """One Fig. 8 scenario as a JSONable fleet unit.
 
     ``n_slices=None`` keeps each scenario's paper-matching default
-    (20/20/24); the telemetry session rides inside the cell so the
-    fleet merge sees per-unit logs, same as every other sharded study.
+    (20/20/24).
     """
     runners = {"a": run_fig8a, "b": run_fig8b, "c": run_fig8c}
     if scenario not in runners:
         raise ValueError(f"unknown fig8 scenario {scenario!r}")
-    session = None
-    if collect_telemetry:
-        from repro.telemetry import Telemetry
-
-        session = Telemetry()
     kwargs: Dict[str, Any] = {"mix_index": mix_index, "seed": seed}
     if n_slices is not None:
         kwargs["n_slices"] = n_slices
-    trace = runners[scenario](telemetry=session, **kwargs)
-    fields = asdict(trace)
-    cell: Dict[str, Any] = {
+    fields = asdict(runners[scenario](**kwargs))
+    return {
         "scenario": scenario,
         "scenario_name": fields.pop("scenario"),
         **fields,
     }
-    if session is not None:
-        cell["telemetry"] = telemetry_records(session)
-    return cell
 
 
 def trace_from_cell(cell: Dict[str, Any]) -> DynamicTrace:
@@ -215,7 +194,6 @@ def fig8_units(
     mix_index: int,
     n_slices: Optional[int],
     seed: int,
-    collect_telemetry: bool = False,
 ) -> List[WorkUnit]:
     """The dynamic study's fleet work units, one per scenario."""
     return [
@@ -225,7 +203,6 @@ def fig8_units(
             kwargs={
                 "scenario": scenario, "mix_index": mix_index,
                 "n_slices": n_slices, "seed": seed,
-                "collect_telemetry": collect_telemetry,
             },
         )
         for scenario in scenarios
@@ -240,9 +217,6 @@ def run_fig8_grid(
     jobs: int = 1,
     checkpoint: Optional[str] = None,
     resume: bool = False,
-    telemetry: Any = None,
-    merged_telemetry: Optional[List[Dict]] = None,
-    live: Optional["LiveAggregator"] = None,
 ) -> Dict[str, DynamicTrace]:
     """All three dynamic scenarios as a sharded fleet grid.
 
@@ -252,34 +226,15 @@ def run_fig8_grid(
     """
     fleet = FleetRun(
         "fig8",
-        fig8_units(
-            scenarios, mix_index, n_slices, seed,
-            collect_telemetry=(
-                merged_telemetry is not None or live is not None
-            ),
-        ),
+        fig8_units(scenarios, mix_index, n_slices, seed),
         FleetParams(jobs=jobs, checkpoint=checkpoint, resume=resume),
         seed=seed,
         context={
             "scenarios": list(scenarios), "mix_index": mix_index,
             "n_slices": n_slices,
         },
-        telemetry=telemetry,
-        live=live,
     )
     outcome = fleet.execute()
-    if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
     return {
         cell["scenario"]: trace_from_cell(cell)
         for cell in outcome.values()

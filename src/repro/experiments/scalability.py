@@ -200,10 +200,7 @@ def run_scalability(
     (:func:`repro.fleet.merge_unit_telemetry`).
 
     ``live``, when given a :class:`~repro.telemetry.live.LiveAggregator`,
-    streams worker events into it mid-run and switches the merged log
-    to the aggregator's *incremental* merge — byte-identical to the
-    post-hoc one (the streaming-equivalence tests and CI diff pin
-    this).
+    streams worker events into it mid-run for the ``--watch`` view.
     """
     fleet = FleetRun(
         "scalability",
@@ -224,17 +221,7 @@ def run_scalability(
     )
     outcome = fleet.execute()
     if merged_telemetry is not None:
-        posthoc = merge_unit_telemetry(outcome.results)
-        if live is not None:
-            streamed = live.merged_records()
-            if streamed != posthoc:
-                raise RuntimeError(
-                    "streaming incremental merge diverged from the "
-                    "post-hoc merge_jsonl merge"
-                )
-            merged_telemetry.extend(streamed)
-        else:
-            merged_telemetry.extend(posthoc)
+        merged_telemetry.extend(merge_unit_telemetry(outcome.results))
     return points_from_cells(outcome.values())
 
 

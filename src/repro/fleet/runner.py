@@ -169,8 +169,8 @@ class FleetRun:
         self.context: Dict[str, Any] = dict(context or {})
         self.telemetry = telemetry
         #: Optional :class:`LiveAggregator`: streams worker events and
-        #: folds each unit's telemetry shard in as it completes, so the
-        #: merged log exists incrementally instead of only after
+        #: folds each unit's counter totals in as it completes, for the
+        #: ``--watch`` status view.  The merged log is built once, by
         #: ``merge_unit_telemetry`` at end of run.
         self.live = live
         #: Optional shared :class:`FleetPool` (typically keep-alive):
@@ -205,8 +205,8 @@ class FleetRun:
         resumed = len(completed)
         todo = [u for u in self.units if u.unit_id not in completed]
         if self.live is not None:
-            # Resumed units never re-execute, so their telemetry shards
-            # enter the incremental merge straight from the checkpoint.
+            # Resumed units never re-execute, so their counter totals
+            # enter the status view straight from the checkpoint.
             for unit in self.units:
                 value = completed.get(unit.unit_id)
                 if isinstance(value, dict) and "telemetry" in value:

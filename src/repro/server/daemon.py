@@ -26,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, Optional, Set
 
 from repro.fleet.pool import FleetPool, PoolParams
 from repro.logs import get_logger

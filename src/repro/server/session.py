@@ -15,7 +15,7 @@ keep the event loop responsive.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.server.admission import JobSpec
 from repro.server.driver import QuantumDriver

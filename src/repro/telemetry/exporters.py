@@ -20,7 +20,7 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.telemetry.metrics import DecisionRecord, MetricsRegistry
+from repro.telemetry.metrics import DecisionRecord, Histogram, MetricsRegistry
 from repro.telemetry.tracer import Tracer
 
 
@@ -360,9 +360,8 @@ def render_metrics_report(metrics: MetricsRegistry,
             f"span durations (ms):{'':<20} count    mean     p50     p95"
         )
         by_name: Dict[str, Histogram] = {}
-        from repro.telemetry.metrics import Histogram as _H
         for span in tracer.spans:
-            by_name.setdefault(span.name, _H(span.name)).observe(
+            by_name.setdefault(span.name, Histogram(span.name)).observe(
                 span.duration_s * 1e3
             )
         for name in sorted(by_name):
@@ -456,122 +455,47 @@ def _prometheus_value(value) -> str:
     return repr(value)
 
 
-def _escape_label_value(value) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
-
-
-def _prometheus_labels(labels: Dict[str, str]) -> str:
-    if not labels:
-        return ""
-    body = ",".join(
-        f'{key}="{_escape_label_value(val)}"'
-        for key, val in sorted(labels.items())
-    )
-    return "{" + body + "}"
-
-
 def render_prometheus(metrics) -> str:
     """Render metrics in the Prometheus text exposition format (v0.0.4).
 
-    ``metrics`` is either a live :class:`MetricsRegistry` (or the
-    ``Telemetry.metrics`` attribute) or an iterable of parsed JSONL
-    records (the archival/merged form) — merged records keep their
-    ``unit`` tag as a label.  Counters render with the conventional
-    ``_total`` suffix, histograms as summaries (``quantile`` series
-    plus ``_count``/``_sum``), so a control-plane daemon can scrape a
-    run's state without bespoke parsing.
+    ``metrics`` is a live :class:`MetricsRegistry` (or the
+    ``Telemetry.metrics`` attribute).  Counters render with the
+    conventional ``_total`` suffix, histograms as summaries
+    (``quantile`` series plus ``_count``/``_sum``), so a control-plane
+    daemon can scrape a run's state without bespoke parsing.
     """
-    counters: List[tuple] = []
-    gauges: List[tuple] = []
-    summaries: List[tuple] = []
-    if hasattr(metrics, "counters"):
-        for name, counter in sorted(metrics.counters.items()):
-            counters.append((name, {}, counter.value))
-        for name, gauge in sorted(metrics.gauges.items()):
-            gauges.append((name, {}, gauge.value))
-        for name, hist in sorted(metrics.histograms.items()):
-            summary = hist.summary()
-            summary["sum"] = sum(hist.samples)
-            summaries.append((name, {}, summary))
-        gauges.append(("decisions", {}, len(metrics.decisions)))
-    else:
-        decisions = 0
-        for rec in metrics:
-            kind = rec.get("type")
-            labels = (
-                {"unit": rec["unit"]} if rec.get("unit") is not None else {}
-            )
-            if kind == "counter":
-                counters.append((rec["name"], labels, rec["value"]))
-            elif kind == "gauge":
-                gauges.append((rec["name"], labels, rec["value"]))
-            elif kind == "histogram":
-                summary = dict(rec.get("summary", {}))
-                count = summary.get("count", 0) or 0
-                mean = summary.get("mean")
-                summary["sum"] = (
-                    mean * count if isinstance(mean, (int, float)) else 0.0
-                )
-                summaries.append((rec["name"], labels, summary))
-            elif kind == "decision":
-                decisions += 1
-        gauges.append(("decisions", {}, decisions))
-
     lines: List[str] = []
+    seen = set()
 
     def emit_header(name: str, source: str, kind: str) -> None:
-        lines.append(f"# HELP {name} repro metric {source}")
-        lines.append(f"# TYPE {name} {kind}")
+        if name not in seen:
+            seen.add(name)
+            lines.append(f"# HELP {name} repro metric {source}")
+            lines.append(f"# TYPE {name} {kind}")
 
-    seen = set()
-    for name, labels, value in counters:
+    for name, counter in sorted(metrics.counters.items()):
         metric = _prometheus_name(name) + "_total"
-        if metric not in seen:
-            seen.add(metric)
-            emit_header(metric, name, "counter")
-        lines.append(
-            f"{metric}{_prometheus_labels(labels)} "
-            f"{_prometheus_value(value)}"
-        )
-    for name, labels, value in gauges:
+        emit_header(metric, name, "counter")
+        lines.append(f"{metric} {_prometheus_value(counter.value)}")
+    gauges = [(name, gauge.value)
+              for name, gauge in sorted(metrics.gauges.items())]
+    gauges.append(("decisions", len(metrics.decisions)))
+    for name, value in gauges:
         metric = _prometheus_name(name)
-        if metric not in seen:
-            seen.add(metric)
-            emit_header(metric, name, "gauge")
-        lines.append(
-            f"{metric}{_prometheus_labels(labels)} "
-            f"{_prometheus_value(value)}"
-        )
-    for name, labels, summary in summaries:
+        emit_header(metric, name, "gauge")
+        lines.append(f"{metric} {_prometheus_value(value)}")
+    for name, hist in sorted(metrics.histograms.items()):
+        summary = hist.summary()
         metric = _prometheus_name(name)
-        if metric not in seen:
-            seen.add(metric)
-            emit_header(metric, name, "summary")
+        emit_header(metric, name, "summary")
         for quantile, key in (("0.5", "p50"), ("0.95", "p95"),
                               ("0.99", "p99")):
-            value = summary.get(key)
-            if not isinstance(value, (int, float)):
-                continue
-            q_labels = dict(labels)
-            q_labels["quantile"] = quantile
             lines.append(
-                f"{metric}{_prometheus_labels(q_labels)} "
-                f"{_prometheus_value(value)}"
+                f'{metric}{{quantile="{quantile}"}} '
+                f"{_prometheus_value(summary[key])}"
             )
-        label_text = _prometheus_labels(labels)
-        lines.append(
-            f"{metric}_count{label_text} "
-            f"{_prometheus_value(summary.get('count', 0) or 0)}"
-        )
-        lines.append(
-            f"{metric}_sum{label_text} "
-            f"{_prometheus_value(summary.get('sum', 0.0) or 0.0)}"
-        )
+        lines.append(f"{metric}_count {_prometheus_value(summary['count'])}")
+        lines.append(f"{metric}_sum {_prometheus_value(sum(hist.samples))}")
     return "\n".join(lines) + "\n"
 
 
@@ -582,9 +506,7 @@ def render_jsonl_report(records: Iterable[Dict]) -> str:
     exactly how the Table II scheduling-overhead rows are derived from
     a trace — and echoes counters, histograms, and the decision count.
     """
-    from repro.telemetry.metrics import Histogram as _H
-
-    spans: Dict[str, _H] = {}
+    spans: Dict[str, Histogram] = {}
     counters: Dict[str, float] = {}
     histograms: List[Dict] = []
     decisions = 0
@@ -593,7 +515,7 @@ def render_jsonl_report(records: Iterable[Dict]) -> str:
     for rec in records:
         kind = rec.get("type")
         if kind == "span":
-            spans.setdefault(rec["name"], _H(rec["name"])).observe(
+            spans.setdefault(rec["name"], Histogram(rec["name"])).observe(
                 rec["dur_us"] / 1e3
             )
         elif kind == "counter":

@@ -23,7 +23,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
+
+
+def percentile(samples: Iterable[float], q: float) -> float:
+    """Linear-interpolated ``q``-th percentile; NaN when empty."""
+    data = sorted(samples)
+    if not data:
+        return math.nan
+    if len(data) == 1:
+        return data[0]
+    pos = (len(data) - 1) * q / 100.0
+    lo = int(math.floor(pos))
+    hi = min(lo + 1, len(data) - 1)
+    frac = pos - lo
+    return data[lo] * (1.0 - frac) + data[hi] * frac
 
 
 def signed_error_percent(predicted: float, measured: float) -> float:
@@ -85,16 +99,7 @@ class Histogram:
 
     def percentile(self, q: float) -> float:
         """Linear-interpolated percentile; NaN when empty."""
-        if not self.samples:
-            return math.nan
-        data = sorted(self.samples)
-        if len(data) == 1:
-            return data[0]
-        pos = (len(data) - 1) * q / 100.0
-        lo = int(math.floor(pos))
-        hi = min(lo + 1, len(data) - 1)
-        frac = pos - lo
-        return data[lo] * (1.0 - frac) + data[hi] * frac
+        return percentile(self.samples, q)
 
     def summary(self) -> Dict[str, float]:
         """count/mean/min/max plus the p50/p95/p99 trio."""

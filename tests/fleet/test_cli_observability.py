@@ -7,8 +7,6 @@ directly here by diffing captured stdout.
 
 from pathlib import Path
 
-import pytest
-
 from repro.cli import build_parser, main
 
 FIXTURE = (
@@ -100,9 +98,7 @@ class TestWatch:
         assert "cluster/broker" in watched.err
 
     def test_watch_exercises_streaming_self_check(self, tmp_path, capsys):
-        # --watch + --jsonl: the merged log written under streaming
-        # passed the incremental-vs-post-hoc identity check inside
-        # run_cluster_study (it raises on divergence).
+        # --watch + --jsonl: the merged log is written while streaming.
         log = tmp_path / "run.jsonl"
         assert main(
             ["--seed", "7", "fleet", "cluster", "--slices", "2",

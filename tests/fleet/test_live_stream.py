@@ -1,17 +1,16 @@
-"""Tests for the fleet's live event bus and incremental telemetry merge.
+"""Tests for the fleet's live event bus and the ``--watch`` aggregator.
 
 Two contracts:
 
 * **Streaming never changes results.**  A run with an event consumer
   attached produces byte-identical unit values to one without; events
   are observability only.
-* **Incremental == post-hoc.**  A ``LiveAggregator`` fed through
-  ``FleetRun(live=...)`` ends the run holding exactly the records
-  ``merge_unit_telemetry`` would produce from the same results — for
-  serial and multi-process execution alike.
+* **Live agrees with replay.**  A ``LiveAggregator`` fed through
+  ``FleetRun(live=...)`` ends the run with the same totals as
+  ``LiveAggregator().replay()`` over the ``merge_unit_telemetry`` log
+  of the same results — for serial and multi-process execution alike.
 """
 
-import json
 import multiprocessing as mp
 import os
 
@@ -59,8 +58,8 @@ def crash_once(flag_path: str, payload: int) -> int:
 
 
 def make_units(n: int):
-    # Float values chosen so summation order is observable: the
-    # incremental counter fold must match merge_jsonl bit for bit.
+    # Float values make summation order observable: live counters fold
+    # in completion order, merge_jsonl in sorted-unit order.
     return [
         WorkUnit(f"unit-{i}", telemetry_unit,
                  {"unit_id": f"unit-{i}", "power": 0.1 * (i + 1)})
@@ -125,6 +124,12 @@ class TestPoolEvents:
         assert pool.retries == 1
 
 
+def assert_counters_match_replay(live: LiveAggregator, outcome) -> None:
+    replayed = LiveAggregator().replay(merge_unit_telemetry(outcome.results))
+    assert live.counter_totals
+    assert live.counter_totals == pytest.approx(replayed.counter_totals)
+
+
 class TestIncrementalMergeEndToEnd:
     def run_with_live(self, jobs: int) -> None:
         params = FleetParams(jobs=jobs)
@@ -136,13 +141,7 @@ class TestIncrementalMergeEndToEnd:
         outcome = FleetRun(
             "stream-test", make_units(4), params, seed=7, live=live,
         ).execute()
-        posthoc = merge_unit_telemetry(outcome.results)
-        streamed = live.merged_records()
-        assert streamed == posthoc
-        assert (
-            [json.dumps(r, sort_keys=True) for r in streamed]
-            == [json.dumps(r, sort_keys=True) for r in posthoc]
-        )
+        assert_counters_match_replay(live, outcome)
         assert live.dropped_events == 0
         done = [s for s in live.units.values() if s["state"] == "done"]
         assert len(done) == 4
@@ -166,9 +165,7 @@ class TestIncrementalMergeEndToEnd:
             live=live,
         ).execute()
         assert outcome.resumed_units == 4
-        assert live.merged_records() == merge_unit_telemetry(
-            outcome.results
-        )
+        assert_counters_match_replay(live, outcome)
         assert all(s["worker"] == "checkpoint"
                    for s in live.units.values())
 
@@ -199,6 +196,22 @@ class TestStudySelfCheck:
             scenarios=default_scenarios(7)[:1], live=live,
         )
         assert len(outcomes) == 2  # hardened + unhardened
-        assert live.merged_records()  # telemetry was collected
+        assert live.counter_totals  # telemetry was collected
         states = {s["state"] for s in live.units.values()}
         assert states == {"done"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_scalability_live_matches_replay(self, jobs):
+        from repro.experiments.scalability import run_scalability
+
+        live = LiveAggregator()
+        merged = []
+        run_scalability(
+            core_counts=(16, 32), n_slices=3, jobs=jobs,
+            merged_telemetry=merged, live=live,
+        )
+        replay = LiveAggregator().replay(merged)
+        assert live.quanta == replay.quanta == 12
+        assert live.qos_violations == replay.qos_violations
+        assert live.power_violations == replay.power_violations
+        assert live.counter_totals == replay.counter_totals

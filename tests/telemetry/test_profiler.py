@@ -18,7 +18,6 @@ from repro.telemetry.profiler import (
     build_profile,
     chrome_trace_from_profile,
     folded_stacks,
-    iter_nodes,
     phase_summary,
     profile_telemetry,
     render_phase_table,
