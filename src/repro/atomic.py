@@ -11,27 +11,21 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = ["atomic_write_text"]
 
 
-def atomic_write_text(
-    path: Union[str, Path], text: Union[str, Iterable[str]]
-) -> None:
+def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Replace ``path``'s contents with ``text`` (UTF-8), atomically.
 
-    ``text`` is one string or an iterable of string chunks written in
-    order; chunks let a large document stream from
-    ``json.JSONEncoder.iterencode`` without ever being whole in memory
-    (the daemon's per-tick snapshot).  The parent directory must
-    exist.  On failure the temp file is removed and the previous
-    ``path`` is left untouched.
+    The parent directory must exist.  On failure the temp file is
+    removed and the previous ``path`` is left untouched.
     """
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.writelines([text] if isinstance(text, str) else text)
+            handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

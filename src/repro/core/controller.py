@@ -267,31 +267,36 @@ class ReconstructionSnapshot:
 
 
 def _matrix_state(matrix: ObservedMatrix) -> Dict[str, Any]:
-    """JSONable form of an :class:`ObservedMatrix` for snapshots.
+    """JSONable online rows of an :class:`ObservedMatrix` for snapshots.
 
-    Values travel as nested lists; float ``repr`` round-trips exactly
-    through JSON, so a restored matrix reconstructs bit-identically.
+    The known block is rebuilt on restore, so only its digest travels.
+    Float ``repr`` round-trips exactly through JSON, so a restored
+    matrix reconstructs bit-identically.
     """
+    online = slice(matrix.n_known, None)
     return {
         "n_rows": matrix.n_rows,
         "n_cols": matrix.n_cols,
-        "values": matrix.values.tolist(),
-        "mask": matrix.mask.tolist(),
-        "age": matrix.age.tolist(),
-        "known_rows": matrix.known_rows.tolist(),
+        "n_known": matrix.n_known,
+        "known_sha256": matrix.known_digest(),
+        "values": matrix.values[online].tolist(),
+        "mask": matrix.mask[online].tolist(),
+        "age": matrix.age[online].tolist(),
     }
 
 
 def _restore_matrix(matrix: ObservedMatrix, state: Dict[str, Any]) -> None:
-    """Overwrite ``matrix`` in place from :func:`_matrix_state` output."""
-    if (matrix.n_rows, matrix.n_cols) != (
-        int(state["n_rows"]), int(state["n_cols"])
+    """Overwrite ``matrix``'s online rows; raise if its known block differs."""
+    if (matrix.n_rows, matrix.n_cols, matrix.n_known) != (
+        int(state["n_rows"]), int(state["n_cols"]), int(state["n_known"])
     ):
         raise ValueError("matrix shape mismatch in controller snapshot")
-    matrix.values = np.asarray(state["values"], dtype=float)
-    matrix.mask = np.asarray(state["mask"], dtype=bool)
-    matrix.age = np.asarray(state["age"], dtype=int)
-    matrix.known_rows = np.asarray(state["known_rows"], dtype=bool)
+    if matrix.known_digest() != state["known_sha256"]:
+        raise ValueError("known-row digest mismatch in controller snapshot")
+    online = slice(matrix.n_known, None)
+    matrix.values[online] = np.asarray(state["values"], dtype=float)
+    matrix.mask[online] = np.asarray(state["mask"], dtype=bool)
+    matrix.age[online] = np.asarray(state["age"], dtype=int)
 
 
 def _regime_key(raw: Sequence[Any]) -> Tuple[int, float, int]:
@@ -369,13 +374,12 @@ class ResourceController:
         # the collaborative filter learns structure from).
         train_bips = throughput_rows(train_profiles, machine.perf)
         train_power = power_rows(train_profiles, machine.power)
-        self._bips_matrix = ObservedMatrix(self.n_train + self.n_batch)
-        self._power_matrix = ObservedMatrix(
-            self.n_train + self.n_batch + self.n_services
+        self._bips_matrix = ObservedMatrix(
+            self.n_train + self.n_batch, known=train_bips
         )
-        for i in range(self.n_train):
-            self._bips_matrix.set_known_row(i, train_bips[i])
-            self._power_matrix.set_known_row(i, train_power[i])
+        self._power_matrix = ObservedMatrix(
+            self.n_train + self.n_batch + self.n_services, known=train_power
+        )
 
         # Latency training rows: known services (plus their historical
         # variants) characterised per load bucket and core count; the
@@ -549,10 +553,9 @@ class ResourceController:
                 n_cores,
                 exclude=(service.name, bucket),
             )
-            matrix = ObservedMatrix(rows.shape[0] + 1)
-            for i in range(rows.shape[0]):
-                matrix.set_known_row(i, rows[i])
-            self._latency_matrices[key] = matrix
+            self._latency_matrices[key] = ObservedMatrix(
+                rows.shape[0] + 1, known=rows
+            )
         return self._latency_matrices[key]
 
     def reset_job(self, job: int) -> None:
@@ -666,7 +669,7 @@ class ResourceController:
             return False
         if not mad_check:
             return True
-        known = matrix.values[matrix.known_rows, col]
+        known = matrix.values[: matrix.n_known, col]
         if known.size < 4:
             return True
         med = float(np.median(known))
@@ -1687,7 +1690,9 @@ class ResourceController:
         """JSONable mutable state for crash-safe checkpoints.
 
         Captures every piece of state that shapes future decisions:
-        the sampled metric matrices, the latency-evidence ledger, the
+        the online rows of the metric matrices (their known rows are
+        rebuilt on restore and only a digest travels), the latency
+        regimes in creation order, the latency-evidence ledger, the
         RNG stream, the safe-mode and quarantine machines, the
         last-known-good cache and the deadline meter.  Wall-clock
         ``timings`` and the per-quantum prediction snapshots are
@@ -1697,7 +1702,7 @@ class ResourceController:
         constructed controller replays the run bit-exactly.
         """
         return {
-            "version": 1,
+            "version": 2,
             "rng": self._rng.bit_generator.state,
             "lc_cores_by_service": list(self.lc_cores_by_service),
             "last_assignment": assignment_state(self._last_assignment),
@@ -1733,7 +1738,9 @@ class ResourceController:
                     "key": list(key),
                     "matrix": _matrix_state(self._latency_matrices[key]),
                 }
-                for key in sorted(self._latency_matrices)
+                # Dict order, not sorted: latency transfer breaks
+                # core-count distance ties by iteration order.
+                for key in self._latency_matrices
             ],
             "latency_evidence": [
                 {
@@ -1754,9 +1761,10 @@ class ResourceController:
         The controller must have been constructed against the same
         machine, training set, and configuration as the snapshotted one
         (that part of its state is deterministic); only the mutable
-        runtime state is overwritten.
+        runtime state is overwritten.  A matrix whose rebuilt known
+        rows do not match the snapshot's digest raises ``ValueError``.
         """
-        if state.get("version") != 1:
+        if state.get("version") != 2:
             raise ValueError(
                 "unsupported controller snapshot version "
                 f"{state.get('version')!r}"
@@ -1790,22 +1798,17 @@ class ResourceController:
             JointConfig.from_index(int(i)) if i is not None else None
             for i in state["quarantine_config"]
         ]
-        # Pre-occupancy snapshots (before live job add/remove existed)
-        # carry no mask: every slot was live by construction.
-        self._job_active = [
-            bool(v)
-            for v in state.get("job_active", [True] * self.n_batch)
-        ]
+        self._job_active = [bool(v) for v in state["job_active"]]
         _restore_matrix(self._bips_matrix, state["bips_matrix"])
         _restore_matrix(self._power_matrix, state["power_matrix"])
+        # Rebuilt through the one constructor, in creation order.
         self._latency_matrices = {}
         for entry in state["latency_matrices"]:
-            shape = entry["matrix"]
-            matrix = ObservedMatrix(
-                int(shape["n_rows"]), int(shape["n_cols"])
+            service_idx, bucket, n_cores = _regime_key(entry["key"])
+            _restore_matrix(
+                self._latency_matrix(bucket, n_cores, service_idx),
+                entry["matrix"],
             )
-            _restore_matrix(matrix, entry["matrix"])
-            self._latency_matrices[_regime_key(entry["key"])] = matrix
         self._latency_evidence = {
             _regime_key(entry["key"]): {int(c) for c in entry["configs"]}
             for entry in state["latency_evidence"]

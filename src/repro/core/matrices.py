@@ -13,7 +13,9 @@ accuracy experiments (Fig. 5) compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import hashlib
+from dataclasses import InitVar, dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,41 +32,49 @@ class ObservedMatrix:
 
     ``values`` is dense with ``mask`` marking which entries are
     observed; unobserved entries hold zeros and are ignored by the
-    reconstruction.  Known (offline-characterised) rows are fully
-    observed.
+    reconstruction.  The ``known`` block (offline-characterised rows)
+    becomes the first ``n_known`` rows, fully observed and read-only;
+    the remaining rows are learned online.
     """
 
     n_rows: int
     n_cols: int = N_JOINT_CONFIGS
+    known: InitVar[Optional[np.ndarray]] = None
     values: np.ndarray = field(init=False)
     mask: np.ndarray = field(init=False)
-    #: Quanta since each observation was taken (0 = this quantum).
+    #: Quanta since each online observation was taken (0 = this quantum).
     age: np.ndarray = field(init=False)
-    #: Rows installed as offline characterisations (never expire).
-    known_rows: np.ndarray = field(init=False)
+    #: Leading rows installed from the ``known`` block (never expire).
+    n_known: int = field(init=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, known: Optional[np.ndarray]) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
             raise ValueError("matrix dimensions must be positive")
         self.values = np.zeros((self.n_rows, self.n_cols))
         self.mask = np.zeros((self.n_rows, self.n_cols), dtype=bool)
         self.age = np.zeros((self.n_rows, self.n_cols), dtype=int)
-        self.known_rows = np.zeros(self.n_rows, dtype=bool)
+        known = np.zeros((0, self.n_cols)) if known is None else known
+        known = np.asarray(known, dtype=float)
+        if known.ndim != 2 or known.shape[1] != self.n_cols or (
+            len(known) > self.n_rows
+        ):
+            raise ValueError(f"bad known block shape {known.shape}")
+        self.n_known = len(known)
+        self.values[: self.n_known] = known
+        self.mask[: self.n_known] = True
 
-    def set_known_row(self, row: int, values: np.ndarray) -> None:
-        """Install a fully-characterised (training) row."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_cols,):
-            raise ValueError(
-                f"expected a row of {self.n_cols} values, got {values.shape}"
-            )
-        self.values[row] = values
-        self.mask[row] = True
-        self.age[row] = 0
-        self.known_rows[row] = True
+    def known_digest(self) -> str:
+        """sha256 of the known block (snapshots check it on restore)."""
+        block = np.ascontiguousarray(self.values[: self.n_known])
+        return hashlib.sha256(block.tobytes()).hexdigest()
+
+    def _check_online(self, row: int) -> None:
+        if row < self.n_known:
+            raise ValueError(f"row {row} is a read-only known row")
 
     def observe(self, row: int, col: int, value: float) -> None:
         """Record one runtime measurement (later samples overwrite)."""
+        self._check_online(row)
         if not np.isfinite(value):
             raise ValueError(f"observation must be finite, got {value}")
         self.values[row, col] = value
@@ -77,7 +87,8 @@ class ObservedMatrix:
 
     def tick(self) -> None:
         """One decision quantum passes: age every runtime observation."""
-        self.age[self.mask] += 1
+        online = slice(self.n_known, None)
+        self.age[online][self.mask[online]] += 1
 
     def expire(self, max_age: int) -> int:
         """Drop runtime observations older than ``max_age`` quanta.
@@ -89,29 +100,24 @@ class ObservedMatrix:
         """
         if max_age < 0:
             raise ValueError("max_age must be non-negative")
-        stale = self.mask & (self.age > max_age)
-        stale[self.known_rows] = False
+        online = slice(self.n_known, None)
+        stale = self.mask[online] & (self.age[online] > max_age)
         dropped = int(np.sum(stale))
-        self.mask[stale] = False
-        self.values[stale] = 0.0
-        self.age[stale] = 0
+        self.mask[online][stale] = False
+        self.values[online][stale] = 0.0
+        self.age[online][stale] = 0
         return dropped
 
     def clear_row(self, row: int) -> None:
         """Forget every runtime observation in ``row`` (job churn)."""
+        self._check_online(row)
         self.values[row] = 0.0
         self.mask[row] = False
         self.age[row] = 0
-        self.known_rows[row] = False
 
     def copy(self) -> "ObservedMatrix":
         """Deep copy (used to snapshot before what-if reconstructions)."""
-        out = ObservedMatrix(self.n_rows, self.n_cols)
-        out.values = self.values.copy()
-        out.mask = self.mask.copy()
-        out.age = self.age.copy()
-        out.known_rows = self.known_rows.copy()
-        return out
+        return copy.deepcopy(self)
 
 
 def throughput_rows(

@@ -84,9 +84,9 @@ class AccuracyResult:
 
 def _sparse_matrix(train_rows: np.ndarray, test_rows: np.ndarray,
                    observe: Sequence[int]) -> ObservedMatrix:
-    matrix = ObservedMatrix(train_rows.shape[0] + test_rows.shape[0])
-    for i in range(train_rows.shape[0]):
-        matrix.set_known_row(i, train_rows[i])
+    matrix = ObservedMatrix(
+        train_rows.shape[0] + test_rows.shape[0], known=train_rows
+    )
     for t in range(test_rows.shape[0]):
         for col in observe:
             matrix.observe(train_rows.shape[0] + t, col, test_rows[t, col])
@@ -131,9 +131,7 @@ def _latency_errors(
             )
         rows, _ = latency_training_rows(train, [load], perf, n_cores)
         truth = latency_row(service, perf, load, n_cores)
-        matrix = ObservedMatrix(rows.shape[0] + 1)
-        for i in range(rows.shape[0]):
-            matrix.set_known_row(i, rows[i])
+        matrix = ObservedMatrix(rows.shape[0] + 1, known=rows)
         # The latency row starts from a single steady-state sample plus
         # the widest profiling configuration (paper: m*p - 1 initially).
         wide = JointConfig(CoreConfig.widest(), 4.0).index
@@ -214,9 +212,9 @@ def run_fig5b(
         ),
     ):
         n_test = len(test_names)
-        matrix = ObservedMatrix(train_rows.shape[0] + n_test)
-        for i in range(train_rows.shape[0]):
-            matrix.set_known_row(i, train_rows[i])
+        matrix = ObservedMatrix(
+            train_rows.shape[0] + n_test, known=train_rows
+        )
         for t in range(n_test):
             matrix.observe(train_rows.shape[0] + t, HI_JOINT.index, observed_hi[t])
             matrix.observe(train_rows.shape[0] + t, LO_JOINT.index, observed_lo[t])
@@ -240,9 +238,7 @@ def run_fig5b(
             train.extend(service_variants(base, 3, seed=1, perf=perf))
         rows, _ = latency_training_rows(train, [0.8], perf, 16)
         truth = latency_row(service, perf, 0.8, 16)
-        matrix = ObservedMatrix(rows.shape[0] + 1)
-        for i in range(rows.shape[0]):
-            matrix.set_known_row(i, rows[i])
+        matrix = ObservedMatrix(rows.shape[0] + 1, known=rows)
         noise = machine_params.slice_noise
         for joint in (JointConfig(CoreConfig.widest(), 4.0),
                       JointConfig(CoreConfig(4, 2, 4), 2.0)):

@@ -60,9 +60,9 @@ def _rbf_errors(test_rows: np.ndarray, sample_idx: Sequence[int]) -> np.ndarray:
 def _sgd_errors(
     train_rows: np.ndarray, test_rows: np.ndarray, params: SGDParams
 ) -> np.ndarray:
-    matrix = ObservedMatrix(train_rows.shape[0] + test_rows.shape[0])
-    for i in range(train_rows.shape[0]):
-        matrix.set_known_row(i, train_rows[i])
+    matrix = ObservedMatrix(
+        train_rows.shape[0] + test_rows.shape[0], known=train_rows
+    )
     for t in range(test_rows.shape[0]):
         matrix.observe(train_rows.shape[0] + t, HI.index, test_rows[t, HI.index])
         matrix.observe(train_rows.shape[0] + t, LO.index, test_rows[t, LO.index])

@@ -65,9 +65,7 @@ def _profiled_matrix(n_train: int, seed: int = 2020) -> Tuple[ObservedMatrix, np
     train_names, test_names = train_test_split(n_train=n_train, seed=seed)
     train = throughput_rows([batch_profile(n) for n in train_names], perf)
     test = throughput_rows([batch_profile(n) for n in test_names], perf)
-    matrix = ObservedMatrix(train.shape[0] + test.shape[0])
-    for i in range(train.shape[0]):
-        matrix.set_known_row(i, train[i])
+    matrix = ObservedMatrix(train.shape[0] + test.shape[0], known=train)
     for t in range(test.shape[0]):
         matrix.observe(train.shape[0] + t, HI.index, test[t, HI.index])
         matrix.observe(train.shape[0] + t, LO.index, test[t, LO.index])

@@ -19,7 +19,6 @@ Batch slots start vacant — gated off through
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -51,7 +50,10 @@ __all__ = ["STATE_VERSION", "QuantumDriver", "ServerConfig", "SlotLoad"]
 IDLE_LC_LOAD = 0.05
 
 #: Snapshot file schema; bumped on incompatible layout changes.
-STATE_VERSION = 1
+STATE_VERSION = 2
+
+#: Decision lines kept in memory for the ``decisions`` query.
+DECISION_TAIL = 4096
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class ServerConfig:
     real_time: bool = False
     #: Wall-clock seconds per quantum when ``real_time``.
     quantum_s: float = 0.1
-    #: Snapshot file; None disables crash-safe resume.
+    #: Snapshot file; None disables crash-safe resume.  Needs
+    #: ``decisions_path``, which refills the decision tail on resume.
     state_path: Optional[str] = None
     #: Decision-stream JSONL; None keeps it in memory only.
     decisions_path: Optional[str] = None
@@ -93,6 +96,8 @@ class ServerConfig:
             raise ValueError("snapshot_every must be >= 1")
         if self.quantum_s <= 0:
             raise ValueError("quantum_s must be positive")
+        if self.state_path is not None and self.decisions_path is None:
+            raise ValueError("--state requires --decisions")
 
     def fingerprint(self) -> Dict[str, Any]:
         """What must match for a snapshot to be resumable."""
@@ -365,8 +370,8 @@ class QuantumDriver:
         self._decision_tail.append(line)
         # The in-memory tail backs the `decisions` query; bound it so
         # a long-lived daemon cannot grow without limit.
-        if len(self._decision_tail) > 4096:
-            del self._decision_tail[:-4096]
+        if len(self._decision_tail) > DECISION_TAIL:
+            del self._decision_tail[:-DECISION_TAIL]
         if self.config.decisions_path is not None:
             with open(
                 self.config.decisions_path, "a", encoding="utf-8"
@@ -446,14 +451,9 @@ class QuantumDriver:
             "admission": self.admission.snapshot(),
             "lc_levels": [load.level for load in self.lc_loads],
             "decision_count": self.decision_count,
-            "decision_tail": list(self._decision_tail),
         }
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        # Streamed chunk by chunk: the snapshot grows with every quantum,
-        # and building it as one string first raises the daemon's peak
-        # memory by several MiB.
-        chunks = json.JSONEncoder(sort_keys=True).iterencode(state)
-        atomic_write_text(path, itertools.chain(chunks, ["\n"]))
+        atomic_write_text(path, json.dumps(state, sort_keys=True) + "\n")
         self.snapshots_written += 1
         if self.telemetry is not None:
             self.telemetry.metrics.counter("server.snapshots").inc()
@@ -465,7 +465,8 @@ class QuantumDriver:
         the stream file may then hold lines *beyond* the snapshot.
         Those quanta re-execute deterministically, so the file is
         truncated back to ``decision_count`` lines and the replayed
-        lines land byte-identically.
+        lines land byte-identically.  The kept lines also refill the
+        in-memory decision tail (the snapshot does not carry it).
         """
         with open(path, "r", encoding="utf-8") as handle:
             state = json.load(handle)
@@ -483,27 +484,26 @@ class QuantumDriver:
         self.admission.restore(state["admission"])
         for load, level in zip(self.lc_loads, state["lc_levels"]):
             load.level = float(level)
-        # Rebind machine-side state the stepper snapshot does not own:
-        # the controller mask travels in the policy snapshot, but the
-        # running jobs' profiles must be re-applied to the machine...
-        # they already are: Machine.snapshot captures batch_profiles.
         self.decision_count = int(state["decision_count"])
-        self._decision_tail = [
-            str(line) for line in state["decision_tail"]
-        ]
-        if self.config.decisions_path is not None:
-            self._truncate_decisions(self.config.decisions_path)
+        kept = self._truncate_decisions(str(self.config.decisions_path))
+        self._decision_tail = kept[-DECISION_TAIL:]
         log.info(
             "resumed at quantum %d (%d decision line(s) kept)",
             self.quantum, self.decision_count,
         )
 
-    def _truncate_decisions(self, path: str) -> None:
+    def _truncate_decisions(self, path: str) -> List[str]:
+        """Cut the stream file back to ``decision_count`` lines; return them."""
         target = Path(path)
-        lines: List[str] = []
-        if target.exists():
-            with open(target, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+        lines = (
+            target.read_text(encoding="utf-8").splitlines()
+            if target.exists() else []
+        )
+        if len(lines) < self.decision_count:
+            raise ValueError(
+                f"decision stream {path} holds {len(lines)} line(s) but "
+                f"the snapshot counted {self.decision_count}"
+            )
         kept = lines[: self.decision_count]
         if len(lines) != len(kept):
             log.info(
@@ -512,3 +512,4 @@ class QuantumDriver:
                 path, len(lines), len(kept),
             )
         atomic_write_text(target, "".join(line + "\n" for line in kept))
+        return kept

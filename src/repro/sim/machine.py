@@ -571,20 +571,18 @@ class Machine:
         so callers auditing a decision must snapshot before running the
         slice it applies to.
         """
-        n = len(self.batch_profiles)
-        bips = np.empty((n, N_JOINT_CONFIGS))
-        power = np.empty((n, N_JOINT_CONFIGS))
+        profiles = self.batch_profiles
         # Oracle table fills are the auditor's dominant cost; the span
         # feeds the virtual-cost profiler (evaluations = model calls).
         with self.trace.span(
             "mgk.latency", category="oracle", kind="batch_tables",
-            evaluations=n * N_JOINT_CONFIGS,
+            evaluations=len(profiles) * N_JOINT_CONFIGS,
         ):
-            for idx in range(N_JOINT_CONFIGS):
-                joint = JointConfig.from_index(idx)
-                for j in range(n):
-                    bips[j, idx] = self.true_batch_bips(j, joint)
-                    power[j, idx] = self.true_batch_power(j, joint.core)
+            bips = np.vstack([
+                self.perf.bips_row(p) / math.exp(self._log_phase[j])
+                for j, p in enumerate(profiles)
+            ])
+            power = np.vstack([self.power.power_row(p) for p in profiles])
         return bips, power
 
     def oracle_lc_latency_row(

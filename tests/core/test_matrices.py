@@ -23,12 +23,20 @@ class TestObservedMatrix:
         assert m.observed_count(0) == 0
 
     def test_known_row_fully_observed(self):
-        m = ObservedMatrix(2)
         row = np.linspace(1, 2, N_JOINT_CONFIGS)
-        m.set_known_row(0, row)
+        m = ObservedMatrix(2, known=row[None, :])
+        assert m.n_known == 1
         assert m.observed_count(0) == N_JOINT_CONFIGS
         assert np.allclose(m.values[0], row)
         assert m.observed_count(1) == 0
+
+    def test_known_rows_are_read_only(self):
+        m = ObservedMatrix(2, known=np.ones((1, N_JOINT_CONFIGS)))
+        with pytest.raises(ValueError, match="read-only"):
+            m.observe(0, 0, 2.0)
+        with pytest.raises(ValueError, match="read-only"):
+            m.clear_row(0)
+        assert m.observed_count(0) == N_JOINT_CONFIGS
 
     def test_observe_single_entries(self):
         m = ObservedMatrix(2)
@@ -49,9 +57,10 @@ class TestObservedMatrix:
             m.observe(0, 0, float("inf"))
 
     def test_wrong_row_shape_rejected(self):
-        m = ObservedMatrix(1)
         with pytest.raises(ValueError):
-            m.set_known_row(0, np.ones(5))
+            ObservedMatrix(1, known=np.ones((1, 5)))
+        with pytest.raises(ValueError):
+            ObservedMatrix(1, known=np.ones((2, N_JOINT_CONFIGS)))
 
     def test_copy_is_deep(self):
         m = ObservedMatrix(1)
@@ -137,12 +146,12 @@ class TestObservationAging:
         assert m.mask[0, 9]
 
     def test_known_rows_never_expire(self):
-        m = ObservedMatrix(2)
-        m.set_known_row(0, np.linspace(1, 2, m.n_cols))
+        m = ObservedMatrix(2, known=np.linspace(1, 2, N_JOINT_CONFIGS)[None])
         for _ in range(10):
             m.tick()
         assert m.expire(max_age=1) == 0
         assert m.observed_count(0) == m.n_cols
+        assert not m.age[0].any()  # only the online block ages
 
     def test_clear_row(self):
         m = ObservedMatrix(2)
@@ -155,6 +164,15 @@ class TestObservationAging:
         m = ObservedMatrix(1)
         with pytest.raises(ValueError):
             m.expire(max_age=-1)
+
+    def test_known_digest_tracks_the_known_block(self):
+        known = np.linspace(1, 2, 2 * N_JOINT_CONFIGS).reshape(2, -1)
+        m = ObservedMatrix(3, known=known)
+        m.observe(2, 0, 5.0)
+        assert m.known_digest() == ObservedMatrix(3, known=known).known_digest()
+        assert m.known_digest() != ObservedMatrix(
+            3, known=known[::-1]
+        ).known_digest()
 
     def test_copy_preserves_ages(self):
         m = ObservedMatrix(1)

@@ -17,9 +17,7 @@ def profiled_matrix(builder, model):
     train_names, test_names = train_test_split()
     train = builder([batch_profile(n) for n in train_names], model)
     test = builder([batch_profile(n) for n in test_names], model)
-    matrix = ObservedMatrix(train.shape[0] + test.shape[0])
-    for i in range(train.shape[0]):
-        matrix.set_known_row(i, train[i])
+    matrix = ObservedMatrix(train.shape[0] + test.shape[0], known=train)
     for t in range(test.shape[0]):
         matrix.observe(train.shape[0] + t, HI, test[t, HI])
         matrix.observe(train.shape[0] + t, LO, test[t, LO])
@@ -114,8 +112,9 @@ class TestMechanics:
             PQReconstructor().reconstruct(matrix)
 
     def test_linear_space_allows_negatives(self):
-        matrix = ObservedMatrix(2)
-        matrix.set_known_row(0, np.linspace(-1, 1, N_JOINT_CONFIGS))
+        matrix = ObservedMatrix(
+            2, known=np.linspace(-1, 1, N_JOINT_CONFIGS)[None, :]
+        )
         matrix.observe(1, 0, -0.9)
         matrix.observe(1, 107, 0.9)
         full = PQReconstructor(SGDParams(log_space=False)).reconstruct(matrix)

@@ -56,7 +56,7 @@ class TestSanitisation:
         controller = build_controller(small_machine)
         matrix = controller._bips_matrix
         col = 0
-        known = matrix.values[matrix.known_rows, col]
+        known = matrix.values[: matrix.n_known, col]
         med = float(np.median(known))
         row = matrix.n_rows - 1
         assert controller._observe(matrix, row, col, med) is True
@@ -80,7 +80,7 @@ class TestSanitisation:
         controller = build_controller(small_machine)
         matrix = controller._latency_matrix(1.0, small_machine.params.n_cores)
         col = 0
-        known = matrix.values[matrix.known_rows, col]
+        known = matrix.values[: matrix.n_known, col]
         huge = float(np.median(known)) * 50.0
         row = matrix.n_rows - 1
         assert controller._observe(matrix, row, col, huge,

@@ -161,6 +161,33 @@ class TestCrashResume:
         run_quanta(resumed, 4, 10)
         assert (tmp_path / "vic_dec.jsonl").read_bytes() == ref_bytes
 
+    def test_resume_refills_recent_decisions_from_stream(self, tmp_path):
+        victim = make_driver(tmp_path, "vic")
+        run_quanta(victim, 0, 6)
+        before = victim.recent_decisions(since=2)
+        del victim
+        state = json.loads((tmp_path / "vic_state.json").read_text())
+        assert "decision_tail" not in state
+
+        resumed = make_driver(tmp_path, "vic", resume=True)
+        resumed.resume_from(str(tmp_path / "vic_state.json"))
+        assert [r["quantum"] for r in before] == [2, 3, 4, 5]
+        assert resumed.recent_decisions(since=2) == before
+
+    def test_resume_rejects_a_short_stream(self, tmp_path):
+        victim = make_driver(tmp_path, "vic")
+        run_quanta(victim, 0, 3)
+        del victim
+        stream = tmp_path / "vic_dec.jsonl"
+        stream.write_text(stream.read_text().splitlines()[0] + "\n")
+        resumed = make_driver(tmp_path, "vic", resume=True)
+        with pytest.raises(ValueError, match="holds 1 line"):
+            resumed.resume_from(str(tmp_path / "vic_state.json"))
+
+    def test_state_path_requires_decisions_path(self, tmp_path):
+        with pytest.raises(ValueError, match="--decisions"):
+            ServerConfig(state_path=str(tmp_path / "s.json"))
+
     def test_resume_rejects_config_mismatch(self, tmp_path):
         driver = make_driver(tmp_path, "a")
         driver.tick()

@@ -455,6 +455,16 @@ class TestReplayCommand:
         assert "cannot read" in capsys.readouterr().err
 
 
+class TestServeCommand:
+    def test_state_without_decisions_exits_2(self, capsys, tmp_path):
+        code = main(["serve", "--state", str(tmp_path / "s.json")])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "--decisions" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "s.json").exists()
+
+
 class TestProfileCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["profile"])
