@@ -157,6 +157,111 @@ def _run_mgk_rows(repeats: int, seed: int) -> BenchCaseResult:
     )
 
 
+#: Quanta the ``controller.ingest`` case replays.
+INGEST_QUANTA = 20
+
+
+def _recorded_ingests(seed: int):
+    """Mix 0's ingest calls over INGEST_QUANTA live quanta, in order.
+
+    Returns ``(machine, calls, regimes)``: the machine, the
+    ``(method name, argument)`` pairs the live controller received and
+    the latency regimes it had built by the end.
+    """
+    from repro.core.runtime import CuttleSysPolicy
+    from repro.experiments.harness import build_machine_for_mix, run_policy
+    from repro.workloads.loadgen import LoadTrace
+    from repro.workloads.mixes import paper_mixes
+
+    machine = build_machine_for_mix(paper_mixes()[0], seed=seed)
+    policy = CuttleSysPolicy.for_machine(machine, seed=seed)
+    controller = policy.controller
+    calls: List[Tuple[str, object]] = []
+    for name in ("ingest_profiling", "ingest_measurement"):
+        method = getattr(controller, name)
+
+        def record(arg, name=name, method=method):
+            calls.append((name, arg))
+            return method(arg)
+
+        setattr(controller, name, record)
+    run_policy(
+        machine, policy, LoadTrace.constant(0.6), n_slices=INGEST_QUANTA
+    )
+    return machine, calls, list(controller._latency_matrices)
+
+
+def _ingest_controller(machine, seed: int, regimes):
+    """A fresh controller with the recorded latency regimes built, so
+    the replay meets them warm, as a live ingest does."""
+    from repro.core.runtime import CuttleSysPolicy
+
+    controller = CuttleSysPolicy.for_machine(machine, seed=seed).controller
+    for service_idx, bucket, n_cores in regimes:
+        controller._latency_matrix(bucket, n_cores, service_idx)
+    return controller
+
+
+def _replay_ingests(controller, calls) -> None:
+    for name, arg in calls:
+        getattr(controller, name)(arg)
+
+
+def _ingest_counters(machine, seed: int, regimes, calls) -> Dict[str, int]:
+    """Samples screened and known-block statistics built, counted on a
+    twin of the timed replay (matrix construction included).  The
+    statistics are built once per matrix, never per sample."""
+    from repro.core import matrices
+
+    builds = [0]
+    build_stats = matrices.known_column_stats
+
+    def counted(known):
+        builds[0] += 1
+        return build_stats(known)
+
+    matrices.known_column_stats = counted
+    try:
+        controller = _ingest_controller(machine, seed, regimes)
+    finally:
+        matrices.known_column_stats = build_stats
+    checked = [0]
+    sample_ok = controller._sample_ok
+
+    def counted_sample_ok(*args, **kwargs):
+        checked[0] += 1
+        return sample_ok(*args, **kwargs)
+
+    controller._sample_ok = counted_sample_ok
+    _replay_ingests(controller, calls)
+    return {"samples_checked": checked[0], "known_stat_builds": builds[0]}
+
+
+def _run_controller_ingest(repeats: int, seed: int) -> BenchCaseResult:
+    """The ingest stage: ``ingest_profiling`` + ``ingest_measurement``.
+
+    Replays the ingest calls of INGEST_QUANTA live mix-0 quanta into a
+    fresh controller built outside the timed region.  The replay sees
+    no decisions between ingests, so no requested assignment is there
+    to diff against; the sample screening, the bulk of the stage, runs
+    as live.
+    """
+    machine, calls, regimes = _recorded_ingests(seed)
+    walls: List[float] = []
+    for _ in range(repeats):
+        controller = _ingest_controller(machine, seed, regimes)
+        walls.append(_timed_ms(lambda: _replay_ingests(controller, calls)))
+    return BenchCaseResult(
+        name="controller.ingest",
+        description=(
+            f"ingest_profiling + ingest_measurement over {INGEST_QUANTA} "
+            "mix-0 quanta"
+        ),
+        wall_ms=tuple(walls),
+        counters=_ingest_counters(machine, seed, regimes, calls),
+    )
+
+
 # -- decision-loop benchmarks ----------------------------------------------
 
 
@@ -520,6 +625,11 @@ BENCH_CASES: Tuple[BenchCase, ...] = (
         "mgk.rows",
         "cold M/G/k latency-regime build (training rows x 108 configs)",
         _run_mgk_rows,
+    ),
+    BenchCase(
+        "controller.ingest",
+        "ingest_profiling + ingest_measurement over replayed quanta",
+        _run_controller_ingest,
     ),
     BenchCase(
         "quantum.decision",

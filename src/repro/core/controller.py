@@ -267,26 +267,43 @@ class ReconstructionSnapshot:
 
 
 def _matrix_state(matrix: ObservedMatrix) -> Dict[str, Any]:
-    """JSONable online rows of an :class:`ObservedMatrix` for snapshots.
+    """JSONable online observations of an :class:`ObservedMatrix`.
 
     The known block is rebuilt on restore, so only its digest travels.
-    Float ``repr`` round-trips exactly through JSON, so a restored
-    matrix reconstructs bit-identically.
+    Online rows travel sparsely, one ``[row, col, value, age]`` entry
+    per observed cell; that is lossless because an unobserved cell
+    always holds value 0 and age 0 (checked here).  Float ``repr``
+    round-trips exactly through JSON, so a restored matrix
+    reconstructs bit-identically.
     """
     online = slice(matrix.n_known, None)
+    values, mask, age = (
+        matrix.values[online], matrix.mask[online], matrix.age[online]
+    )
+    if values[~mask].any() or age[~mask].any():
+        raise ValueError("unobserved matrix cell holds a value or an age")
+    rows, cols = np.nonzero(mask)
     return {
         "n_rows": matrix.n_rows,
         "n_cols": matrix.n_cols,
         "n_known": matrix.n_known,
         "known_sha256": matrix.known_digest(),
-        "values": matrix.values[online].tolist(),
-        "mask": matrix.mask[online].tolist(),
-        "age": matrix.age[online].tolist(),
+        "entries": [
+            [int(r) + matrix.n_known, int(c), float(v), int(a)]
+            for r, c, v, a in zip(
+                rows, cols, values[rows, cols], age[rows, cols]
+            )
+        ],
     }
 
 
 def _restore_matrix(matrix: ObservedMatrix, state: Dict[str, Any]) -> None:
-    """Overwrite ``matrix``'s online rows; raise if its known block differs."""
+    """Overwrite ``matrix``'s online rows; raise if its known block differs.
+
+    Every online cell is reset to unobserved (value 0, age 0) before the
+    snapshot's entries are written back, so the invariant
+    :func:`_matrix_state` relies on holds again after a restore.
+    """
     if (matrix.n_rows, matrix.n_cols, matrix.n_known) != (
         int(state["n_rows"]), int(state["n_cols"]), int(state["n_known"])
     ):
@@ -294,9 +311,20 @@ def _restore_matrix(matrix: ObservedMatrix, state: Dict[str, Any]) -> None:
     if matrix.known_digest() != state["known_sha256"]:
         raise ValueError("known-row digest mismatch in controller snapshot")
     online = slice(matrix.n_known, None)
-    matrix.values[online] = np.asarray(state["values"], dtype=float)
-    matrix.mask[online] = np.asarray(state["mask"], dtype=bool)
-    matrix.age[online] = np.asarray(state["age"], dtype=int)
+    matrix.values[online] = 0.0
+    matrix.mask[online] = False
+    matrix.age[online] = 0
+    for row, col, value, age in state["entries"]:
+        row, col = int(row), int(col)
+        if not (
+            matrix.n_known <= row < matrix.n_rows and 0 <= col < matrix.n_cols
+        ) or matrix.mask[row, col]:
+            raise ValueError(
+                f"bad matrix entry ({row}, {col}) in controller snapshot"
+            )
+        matrix.values[row, col] = float(value)
+        matrix.mask[row, col] = True
+        matrix.age[row, col] = int(age)
 
 
 def _regime_key(raw: Sequence[Any]) -> Tuple[int, float, int]:
@@ -657,7 +685,8 @@ class ResourceController:
         than ``outlier_mad_threshold`` robust standard deviations from
         the training median — with a floor of half the median, so
         heterogeneous-but-legitimate applications are not rejected — is
-        treated as corrupted.
+        treated as corrupted.  The median and MAD are read from the
+        matrix, which builds them once from its read-only known block.
 
         ``mad_check=False`` skips the population test; tail-latency
         samples use it because a saturated service legitimately posts
@@ -667,13 +696,10 @@ class ResourceController:
         """
         if not np.isfinite(value) or value < 0:
             return False
-        if not mad_check:
+        if not mad_check or matrix.n_known < 4:
             return True
-        known = matrix.values[: matrix.n_known, col]
-        if known.size < 4:
-            return True
-        med = float(np.median(known))
-        mad_sigma = float(np.median(np.abs(known - med))) * 1.4826
+        med = float(matrix.known_median[col])
+        mad_sigma = float(matrix.known_mad[col]) * 1.4826
         scale = max(mad_sigma, abs(med) * 0.5, 1e-12)
         return abs(value - med) <= self.config.outlier_mad_threshold * scale
 
@@ -1702,7 +1728,7 @@ class ResourceController:
         constructed controller replays the run bit-exactly.
         """
         return {
-            "version": 2,
+            "version": 3,
             "rng": self._rng.bit_generator.state,
             "lc_cores_by_service": list(self.lc_cores_by_service),
             "last_assignment": assignment_state(self._last_assignment),
@@ -1764,7 +1790,7 @@ class ResourceController:
         runtime state is overwritten.  A matrix whose rebuilt known
         rows do not match the snapshot's digest raises ``ValueError``.
         """
-        if state.get("version") != 2:
+        if state.get("version") != 3:
             raise ValueError(
                 "unsupported controller snapshot version "
                 f"{state.get('version')!r}"

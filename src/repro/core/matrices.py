@@ -26,6 +26,19 @@ from repro.sim.power import PowerModel
 from repro.workloads.latency_critical import LCService, tail_latency_rows
 
 
+def known_column_stats(known: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-column median and MAD of a known block (zeros when empty).
+
+    ``np.median(known, axis=0)`` equals the per-column ``np.median``
+    bit for bit, so these are the statistics the outlier test used to
+    recompute for every sample.
+    """
+    if len(known) == 0:
+        return np.zeros(known.shape[1]), np.zeros(known.shape[1])
+    median = np.median(known, axis=0)
+    return median, np.median(np.abs(known - median), axis=0)
+
+
 @dataclass
 class ObservedMatrix:
     """A sparse ratings matrix: known rows plus runtime observations.
@@ -46,6 +59,10 @@ class ObservedMatrix:
     age: np.ndarray = field(init=False)
     #: Leading rows installed from the ``known`` block (never expire).
     n_known: int = field(init=False)
+    #: Per-column median of the known block (outlier screening).
+    known_median: np.ndarray = field(init=False)
+    #: Per-column median absolute deviation of the known block.
+    known_mad: np.ndarray = field(init=False)
 
     def __post_init__(self, known: Optional[np.ndarray]) -> None:
         if self.n_rows <= 0 or self.n_cols <= 0:
@@ -62,6 +79,9 @@ class ObservedMatrix:
         self.n_known = len(known)
         self.values[: self.n_known] = known
         self.mask[: self.n_known] = True
+        # The known block is read-only from here on, so its column
+        # statistics are built once, with the matrix.
+        self.known_median, self.known_mad = known_column_stats(known)
 
     def known_digest(self) -> str:
         """sha256 of the known block (snapshots check it on restore)."""

@@ -208,17 +208,36 @@ class PQReconstructor:
             p = rng.normal(0.0, 1.0 / np.sqrt(n_cols), size=(n_cols, rank))
 
         q = np.zeros((n_rows, rank))
-        for i in range(n_rows):
+        row_count = mask.sum(axis=1)
+        # Fully observed rows (the known block) share one design, so
+        # their ridge system is built once and solved as one stack.  The
+        # design stays a C-contiguous copy (the layout ``p[obs]`` gives
+        # BLAS) and each right-hand side is its own product: one matrix
+        # product over all rows sums in another order.
+        full = np.nonzero(row_count == n_cols)[0]
+        if full.size:
+            full_design = np.ascontiguousarray(p)
+            rhs = np.stack([full_design.T @ centred[i] for i in full])
+            q[full] = np.linalg.solve(
+                np.broadcast_to(
+                    self._ridge_system(full_design, rank),
+                    (full.size, rank, rank),
+                ),
+                rhs[:, :, None],
+            )[:, :, 0]
+        for i in np.nonzero((row_count > 0) & (row_count < n_cols))[0]:
             obs = np.nonzero(mask[i])[0]
-            if obs.size == 0:
-                continue
             design = p[obs]
-            gram = design.T @ design
-            ridge = params.fold_in_ridge * (np.trace(gram) / rank + 1e-12)
             q[i] = np.linalg.solve(
-                gram + ridge * np.eye(rank), design.T @ centred[i, obs]
+                self._ridge_system(design, rank), design.T @ centred[i, obs]
             )
         return q, p
+
+    def _ridge_system(self, design: np.ndarray, rank: int) -> np.ndarray:
+        """The fold-in's regularised normal matrix for one design."""
+        gram = design.T @ design
+        ridge = self.params.fold_in_ridge * (np.trace(gram) / rank + 1e-12)
+        return gram + ridge * np.eye(rank)
 
     def _refine(
         self,
@@ -227,25 +246,31 @@ class PQReconstructor:
         q: np.ndarray,
         p: np.ndarray,
     ) -> SGDDiagnostics:
-        """SGD epochs over the observed entries (Alg. 1)."""
+        """SGD epochs over the observed entries (Alg. 1).
+
+        The masked residual is computed once per epoch: it gives that
+        epoch's RMSE and is the next parallel epoch's error term.
+        """
         params = self.params
         rng = np.random.default_rng(params.seed)
         rows_idx, cols_idx = np.nonzero(mask)
         n_observed = rows_idx.size
+        counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
+        counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
 
-        def rmse() -> float:
+        def residual_rmse() -> Tuple[np.ndarray, float]:
             residual = np.where(mask, centred - q @ p.T, 0.0)
-            return float(np.sqrt(np.sum(residual**2) / n_observed))
+            return residual, float(np.sqrt(np.sum(residual**2) / n_observed))
 
-        last_rmse = rmse()
+        err, last_rmse = residual_rmse()
         iterations = 0
         converged = False
         for iterations in range(1, params.max_iter + 1):
             if params.parallel:
-                self._epoch_parallel(centred, mask, q, p)
+                self._epoch_parallel(err, counts_row, counts_col, q, p)
             else:
                 self._epoch_serial(centred, rows_idx, cols_idx, q, p, rng)
-            current = rmse()
+            err, current = residual_rmse()
             if last_rmse - current < params.tol:
                 converged = True
                 last_rmse = min(last_rmse, current)
@@ -278,21 +303,20 @@ class PQReconstructor:
 
     def _epoch_parallel(
         self,
-        centred: np.ndarray,
-        mask: np.ndarray,
+        err: np.ndarray,
+        counts_row: np.ndarray,
+        counts_col: np.ndarray,
         q: np.ndarray,
         p: np.ndarray,
     ) -> None:
         """One lock-free epoch: all updates computed from stale factors.
 
         Every observed entry's gradient uses the factor state from the
-        start of the epoch, mirroring HOGWILD workers reading stale
-        parameters; the accumulated updates are then applied at once.
+        start of the epoch (``err`` is its masked residual), mirroring
+        HOGWILD workers reading stale parameters; the accumulated
+        updates are then applied at once.
         """
         eta = self.params.learning_rate
         lam = self.params.regularization
-        err = np.where(mask, centred - q @ p.T, 0.0)
-        counts_row = np.maximum(mask.sum(axis=1, keepdims=True), 1)
-        counts_col = np.maximum(mask.sum(axis=0)[:, None], 1)
         q += eta * (err @ p / counts_row - lam * q)
         p += eta * (err.T @ q / counts_col - lam * p)

@@ -441,6 +441,9 @@ class Machine:
         self._rng = np.random.default_rng(seed)
         # Per-job multiplicative phase factor on CPI (log-AR(1) state).
         self._log_phase = np.zeros(len(self.batch_profiles))
+        # Phase-free oracle (bips, power) rows per batch slot, dropped
+        # whenever the slot's profile changes.
+        self._oracle_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.time_s = 0.0
         #: Assignment of the most recently completed slice (drives
         #: reconfiguration-transition accounting; part of snapshots).
@@ -487,6 +490,7 @@ class Machine:
         self.batch_profiles = [
             profile_from_state(p) for p in state["batch_profiles"]
         ]
+        self._oracle_rows = {}
         self._previous_assignment = assignment_from_state(
             state["previous_assignment"]
         )
@@ -572,18 +576,28 @@ class Machine:
         slice it applies to.
         """
         profiles = self.batch_profiles
-        # Oracle table fills are the auditor's dominant cost; the span
-        # feeds the virtual-cost profiler (evaluations = model calls).
+        # The span feeds the virtual-cost profiler (evaluations = table
+        # cells, whether their base rows were built now or cached).
         with self.trace.span(
             "mgk.latency", category="oracle", kind="batch_tables",
             evaluations=len(profiles) * N_JOINT_CONFIGS,
         ):
+            rows = [self._oracle_base_rows(j) for j in range(len(profiles))]
             bips = np.vstack([
-                self.perf.bips_row(p) / math.exp(self._log_phase[j])
-                for j, p in enumerate(profiles)
+                base / math.exp(self._log_phase[j])
+                for j, (base, _) in enumerate(rows)
             ])
-            power = np.vstack([self.power.power_row(p) for p in profiles])
+            power = np.vstack([power for _, power in rows])
         return bips, power
+
+    def _oracle_base_rows(self, job: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Phase-free BIPS and power rows of slot ``job``'s profile."""
+        if job not in self._oracle_rows:
+            profile = self.batch_profiles[job]
+            self._oracle_rows[job] = (
+                self.perf.bips_row(profile), self.power.power_row(profile)
+            )
+        return self._oracle_rows[job]
 
     def oracle_lc_latency_row(
         self, load: float, n_cores: int, service_idx: int = 0
@@ -1098,6 +1112,7 @@ class Machine:
             raise ValueError(f"batch job index out of range: {job}")
         self.batch_profiles[job] = profile
         self._log_phase[job] = 0.0
+        self._oracle_rows.pop(job, None)
 
     def reference_max_power(self) -> float:
         """The paper's 100 % power budget for this workload.

@@ -14,6 +14,7 @@ from repro.bench import (
     render_report,
     run_bench,
 )
+from repro.bench.cases import INGEST_QUANTA
 from repro.cli import main
 
 
@@ -64,6 +65,7 @@ class TestRunBench:
         assert "telemetry.overhead" in names
         assert "telemetry.overhead_disabled" in names
         assert "mgk.rows" in names
+        assert "controller.ingest" in names
 
     def test_mgk_rows_counts_one_cold_regime(self):
         report = run_bench(repeats=1, only=["mgk.rows"])
@@ -71,6 +73,18 @@ class TestRunBench:
         # 20 training services (5 + 3 variants each) minus the running
         # service's own row, each on all 108 joint configs.
         assert case.counters == {"mgk_configs": 19 * 108}
+        assert len(case.wall_ms) == 1 and case.wall_ms[0] > 0
+
+    def test_controller_ingest_builds_statistics_once_per_matrix(self):
+        report = run_bench(repeats=1, only=["controller.ingest"])
+        case = report.cases["controller.ingest"]
+        # 100 screened samples per mix-0 quantum (66 profiling, 34
+        # steady-state); the known-block statistics are built once per
+        # matrix (BIPS, power and the two latency regimes met).
+        assert case.counters == {
+            "samples_checked": 100 * INGEST_QUANTA,
+            "known_stat_builds": 4,
+        }
         assert len(case.wall_ms) == 1 and case.wall_ms[0] > 0
 
 

@@ -47,9 +47,61 @@ class TestLearnedRowsOnly:
         state = controller.snapshot()
         bips = state["bips_matrix"]
         assert bips["n_known"] == controller.n_train
-        assert len(bips["values"]) == controller.n_batch
+        assert {row for row, *_ in bips["entries"]} <= set(
+            range(controller.n_train, controller.n_train + controller.n_batch)
+        )
         for entry in state["latency_matrices"]:
-            assert len(entry["matrix"]["values"]) == 1
+            n_rows = entry["matrix"]["n_rows"]
+            assert all(row == n_rows - 1 for row, *_ in entry["matrix"]["entries"])
+
+    def test_online_rows_travel_sparsely(self):
+        """One entry per observed online cell, each with its age."""
+        machine, controller = build_controller()
+        for load in (0.5, 0.6, 0.7):
+            step(machine, controller, load, 120.0)
+        matrix = controller._bips_matrix
+        entries = controller.snapshot()["bips_matrix"]["entries"]
+        online = matrix.mask[matrix.n_known:]
+        assert len(entries) == int(online.sum()) < online.size // 10
+        for row, col, value, age in entries:
+            assert matrix.mask[row, col]
+            assert value == matrix.values[row, col]
+            assert age == matrix.age[row, col]
+
+    def test_unobserved_cell_with_a_value_refuses_to_snapshot(self):
+        """The sparse form would drop the value, so it raises instead."""
+        _, controller = build_controller()
+        matrix = controller._bips_matrix
+        matrix.values[matrix.n_rows - 1, 5] = 1.0
+        with pytest.raises(ValueError, match="unobserved"):
+            controller.snapshot()
+
+    @pytest.mark.parametrize("bad_entries", [
+        lambda first: [[0, 0, 1.0, 0]],
+        lambda first: [[10**6, 0, 1.0, 0]],
+        lambda first: [[-1, 0, 1.0, 0]],
+        lambda first: [[first, 999, 1.0, 0]],
+        lambda first: [[first, 3, 1.0, 0]] * 2,
+    ], ids=["known-row", "past-last-row", "negative-row", "past-last-col",
+            "same-cell-twice"])
+    def test_bad_entry_raises(self, bad_entries):
+        _, controller = build_controller()
+        state = controller.snapshot()
+        bips = state["bips_matrix"]
+        bips["entries"] += bad_entries(bips["n_known"])
+        _, restored = build_controller()
+        with pytest.raises(ValueError, match="bad matrix entry"):
+            restored.restore(state)
+
+    def test_restore_clears_stale_online_cells(self):
+        """Restoring into a controller that has observed on its own
+        leaves only the snapshot's cells observed."""
+        machine, controller = build_controller()
+        state = json.loads(json.dumps(controller.snapshot()))
+        other_machine, other = build_controller()
+        step(other_machine, other, 0.6, 120.0)
+        other.restore(state)
+        assert_same_matrices(controller, other)
 
     def test_tampered_digest_raises(self):
         machine, controller = build_controller()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.experiments.harness import build_machine_for_mix
 from repro.sim.coreconfig import N_JOINT_CONFIGS, JointConfig
 from repro.telemetry import Telemetry
+from repro.workloads.batch import batch_profile
 from repro.workloads.mixes import paper_mixes
 
 
@@ -58,3 +59,30 @@ def test_tables_keep_their_profiler_span():
         "kind": "batch_tables",
         "evaluations": len(machine.batch_profiles) * N_JOINT_CONFIGS,
     }
+
+
+def test_cached_rows_follow_replace_batch_job():
+    """Each slot's rows are cached per profile; a churned slot is
+    rebuilt from its new profile, the others keep theirs."""
+    machine = build_machine_for_mix(paper_mixes()[0], seed=3)
+    machine.oracle_batch_tables()
+    machine.replace_batch_job(2, batch_profile("mcf"))
+    machine._log_phase[:] = np.linspace(-0.5, 0.5, len(machine._log_phase))
+    bips, power = machine.oracle_batch_tables()
+    ref_bips, ref_power = scalar_batch_tables(machine)
+    assert np.array_equal(bips, ref_bips)
+    assert np.array_equal(power, ref_power)
+
+
+def test_cached_rows_follow_restore():
+    """A restore swaps every profile; no row cached before it survives."""
+    donor = build_machine_for_mix(paper_mixes()[1], seed=5)
+    donor._log_phase[:] = 0.25
+    machine = build_machine_for_mix(paper_mixes()[0], seed=5)
+    machine.oracle_batch_tables()
+    machine.restore(donor.snapshot())
+    bips, power = machine.oracle_batch_tables()
+    ref_bips, ref_power = scalar_batch_tables(machine)
+    assert np.array_equal(bips, ref_bips)
+    assert np.array_equal(power, ref_power)
+    assert np.array_equal(bips, donor.oracle_batch_tables()[0])
